@@ -360,9 +360,11 @@ def to_text(e: Expr) -> str:
         return f"{b}^{e.exponent}"
     if isinstance(e, Quot):
         num = to_text(e.num) if not isinstance(e.num, Sum) else f"({to_text(e.num)})"
+        # a fraction constant prints with its own '/', so it needs parentheses
+        frac = isinstance(e.den, Const) and "/" in _fmt_const(e.den.value)
         den = (
             to_text(e.den)
-            if _is_atom(e.den) or isinstance(e.den, Pow)
+            if (_is_atom(e.den) and not frac) or isinstance(e.den, Pow)
             else f"({to_text(e.den)})"
         )
         return f"{num}/{den}"

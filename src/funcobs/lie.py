@@ -2,28 +2,30 @@
 
 For a plant dx/dt = f(x), the directional (Lie) derivative of a scalar
 g is sum_i (dg/dx_i) * f_i; iterating it on the measured outputs yields
-the table of output derivatives that the functional tests and the observer
-synthesis both consume.
+the symbolic table of output derivatives that psi verification and the
+observer synthesis consume.  Values and gradients at points (Jacobians,
+series predictions) come from the Taylor-mode jets in `funcobs.jets`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .expr import (
     Const,
+    EvalError,
     Expr,
     Product,
     Sum,
     differentiate,
-    evaluate,
     free_symbols,
     simplify,
 )
+from .jets import flow_derivatives
 from .system import SystemDef
 
 
@@ -54,14 +56,12 @@ def lie_derivative(sys: SystemDef, g: Expr) -> Expr:
 class ObservabilitySet:
     """Derivatives of every measured output up to order m-1.
 
-    table[i][j] is the i-th derivative of output j+1 along the flow;
-    grads[i][j][k] its partial derivative with respect to state k.
+    table[i][j] is the i-th derivative of output j+1 along the flow.
     """
 
     sys: SystemDef
     m: int
     table: list[list[Expr]]
-    grads: list[list[tuple[Expr, ...]]] = field(repr=False)
 
     def rows(self, m: int | None = None):
         """Flattened (i, j, expr) rows ordered by derivative order, then output."""
@@ -79,11 +79,7 @@ def observability_set(sys: SystemDef, m: int) -> ObservabilitySet:
     table = [list(sys.h)]
     for _ in range(m - 1):
         table.append([lie_derivative(sys, e) for e in table[-1]])
-    grads = [
-        [tuple(differentiate(e, nm) for nm in sys.state_names) for e in row]
-        for row in table
-    ]
-    return ObservabilitySet(sys=sys, m=m, table=table, grads=grads)
+    return ObservabilitySet(sys=sys, m=m, table=table)
 
 
 def observability_jacobian(os_: ObservabilitySet, x) -> np.ndarray:
@@ -91,7 +87,8 @@ def observability_jacobian(os_: ObservabilitySet, x) -> np.ndarray:
 
     Rows follow `ObservabilitySet.rows` order.  Points outside the sampling
     box are allowed but warned about, since the local tests only certify
-    behaviour on the box.
+    behaviour on the box.  The gradients come from Taylor-mode jets, not
+    from the symbolic table; a non-finite entry raises EvalError.
     """
     sys = os_.sys
     x = np.asarray(x, dtype=float)
@@ -105,12 +102,12 @@ def observability_jacobian(os_: ObservabilitySet, x) -> np.ndarray:
                 stacklevel=2,
             )
             break
-    b = sys.bindings(x)
-    rows = []
-    for i in range(os_.m):
-        for grad in os_.grads[i]:
-            rows.append([evaluate(g, b) for g in grad])
-    return np.asarray(rows, dtype=float)
+    J = flow_derivatives(sys, sys.h, os_.m, x[None, :])[0, :, :, 1:].reshape(-1, sys.n)
+    bad = ~np.isfinite(J).all(axis=1)
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), sys.p)
+        raise EvalError(f"non-finite gradient of derivative order {i}", sys.h[j])
+    return J
 
 
 @dataclass
@@ -120,7 +117,6 @@ class QDerivatives:
     sys: SystemDef
     v: int
     Q: list[Expr]
-    grads: list[tuple[Expr, ...]] = field(repr=False)
 
 
 def q_derivatives(sys: SystemDef, v: int) -> QDerivatives:
@@ -129,8 +125,7 @@ def q_derivatives(sys: SystemDef, v: int) -> QDerivatives:
     Q = [simplify(sys.q)]
     for _ in range(v):
         Q.append(lie_derivative(sys, Q[-1]))
-    grads = [tuple(differentiate(e, nm) for nm in sys.state_names) for e in Q]
-    return QDerivatives(sys=sys, v=v, Q=Q, grads=grads)
+    return QDerivatives(sys=sys, v=v, Q=Q)
 
 
 def lie_series_predict(sys: SystemDef, x0, t: float, m: int) -> list[float]:
@@ -138,12 +133,14 @@ def lie_series_predict(sys: SystemDef, x0, t: float, m: int) -> list[float]:
     truncated after the t^m term (error is O(t^(m+1)) for smooth flows)."""
     if m < 0:
         raise LieError("series order must be >= 0")
-    os_ = observability_set(sys, m + 1)
-    b = sys.bindings(x0)
+    x0 = np.asarray(x0, dtype=float)
+    derivs = flow_derivatives(sys, sys.h, m + 1, x0[None, :])[0, :, :, 0]
     out = []
     for j in range(sys.p):
+        if not np.isfinite(derivs[:, j]).all():
+            raise EvalError("non-finite output derivative", sys.h[j])
         acc = 0.0
         for i in range(m + 1):
-            acc += evaluate(os_.table[i][j], b) * t**i / math.factorial(i)
+            acc += float(derivs[i, j]) * t**i / math.factorial(i)
         out.append(acc)
     return out

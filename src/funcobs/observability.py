@@ -1,10 +1,12 @@
 """Randomized local observability tests and functional representations.
 
-All tests here sample the system box with a seeded generator and evaluate
-gradient matrices pointwise.  Rank is counted against a relative
-singular-value cutoff with an absolute floor, and mixed per-sample verdicts
-are reported rather than averaged away: a condition "holds" only when it
-holds at every sample that evaluated successfully.
+The rank tests sample the system box with a seeded generator and evaluate
+the gradient stacks at every sample in one pass of Taylor-mode jets
+(`funcobs.jets`); samples where an entry is not finite are skipped and
+counted.  Rank is counted against a relative singular-value cutoff with an
+absolute floor, and mixed per-sample verdicts are reported rather than
+averaged away: a condition "holds" only when it holds at every sample that
+evaluated successfully.
 """
 
 from __future__ import annotations
@@ -16,20 +18,19 @@ import numpy as np
 
 from .expr import (
     Const,
-    EvalError,
     Expr,
     Product,
     Sum,
     WVar,
     differentiate,
-    evaluate,
     free_symbols,
     parse,
     simplify,
     substitute,
     to_text,
 )
-from .lie import observability_jacobian, observability_set, q_derivatives
+from .jets import flow_derivatives
+from .lie import observability_set, q_derivatives
 from .system import SystemDef, system_equivalence
 
 RANK_RTOL = 1e-9
@@ -43,12 +44,19 @@ class ObservabilityError(RuntimeError):
 def numeric_rank(mat: np.ndarray) -> int:
     """Singular values above max(RANK_RTOL * s_max, RANK_FLOOR) count."""
     a = np.atleast_2d(np.asarray(mat, dtype=float))
-    if a.size == 0:
-        return 0
+    return int(numeric_ranks(a[None])[0])
+
+
+def numeric_ranks(stack: np.ndarray) -> np.ndarray:
+    """`numeric_rank` of every matrix in an (N, r, n) stack, by one batched SVD."""
+    a = np.asarray(stack, dtype=float)
+    if a.ndim != 3:
+        raise ValueError(f"expected an (N, r, n) stack, got shape {a.shape}")
+    if a.shape[1] == 0 or a.shape[2] == 0:
+        return np.zeros(a.shape[0], dtype=int)
     s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > max(RANK_RTOL * s[0], RANK_FLOOR)))
+    above = np.sum(s > np.maximum(RANK_RTOL * s[:, :1], RANK_FLOOR), axis=1)
+    return np.where(s[:, 0] == 0.0, 0, above)
 
 
 def sample_states(sys: SystemDef, n_samples: int, seed: int) -> np.ndarray:
@@ -101,24 +109,40 @@ def _rank_report(m: int, ranks: list[int], n_failed: int, full: int) -> RankRepo
     )
 
 
+def _gradient_stacks(
+    sys: SystemDef, m: int, n_samples: int, seed: int, v: int | None = None
+) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """Gradient stacks at the sampled states that evaluate.
+
+    Returns the output-derivative gradients of orders 0..m-1, shape
+    (N, m*p, n) with rows in `ObservabilitySet.rows` order; the target-derivative
+    gradients of orders 0..v, shape (N, v+1, n), or None when v is None; and
+    the number of samples skipped because some entry failed to evaluate.
+    """
+    if m < 1:
+        raise ObservabilityError("derivative order m must be >= 1")
+    pts = sample_states(sys, n_samples, seed)
+    exprs = sys.h if v is None else sys.h + (sys.q,)
+    order = m if v is None else max(m, v + 1)
+    d = flow_derivatives(sys, exprs, order, pts)
+    J = d[:, :m, : sys.p, 1:].reshape(len(pts), m * sys.p, sys.n)
+    ok = np.isfinite(J).all(axis=(1, 2))
+    G = None
+    if v is not None:
+        G = d[:, : v + 1, sys.p, 1:]
+        ok &= np.isfinite(G).all(axis=(1, 2))
+        G = G[ok]
+    if not ok.any():
+        raise ObservabilityError("all sample points failed to evaluate")
+    return J[ok], G, int(np.count_nonzero(~ok))
+
+
 def state_observability_rank(
     sys: SystemDef, m: int, n_samples: int = 100, seed: int = 42
 ) -> RankReport:
     """Rank of the stacked output-derivative gradients at sampled points."""
-    os_ = observability_set(sys, m)
-    pts = sample_states(sys, n_samples, seed)
-    ranks: list[int] = []
-    failed = 0
-    for x in pts:
-        try:
-            J = observability_jacobian(os_, x)
-        except EvalError:
-            failed += 1
-            continue
-        ranks.append(numeric_rank(J))
-    if not ranks:
-        raise ObservabilityError("all sample points failed to evaluate")
-    return _rank_report(m, ranks, failed, sys.n)
+    J, _, failed = _gradient_stacks(sys, m, n_samples, seed)
+    return _rank_report(m, numeric_ranks(J).tolist(), failed, sys.n)
 
 
 def observability_index(
@@ -131,21 +155,11 @@ def observability_index(
     """
     if m_max < 1:
         raise ObservabilityError("m_max must be >= 1")
-    os_ = observability_set(sys, m_max)
-    pts = sample_states(sys, n_samples, seed)
-    per_m: list[list[int]] = [[] for _ in range(m_max)]
-    failed = 0
-    for x in pts:
-        try:
-            J = observability_jacobian(os_, x)
-        except EvalError:
-            failed += 1
-            continue
-        for m in range(1, m_max + 1):
-            per_m[m - 1].append(numeric_rank(J[: sys.p * m]))
-    if not per_m[0]:
-        raise ObservabilityError("all sample points failed to evaluate")
-    reports = [_rank_report(m, per_m[m - 1], failed, sys.n) for m in range(1, m_max + 1)]
+    J, _, failed = _gradient_stacks(sys, m_max, n_samples, seed)
+    reports = [
+        _rank_report(m, numeric_ranks(J[:, : sys.p * m]).tolist(), failed, sys.n)
+        for m in range(1, m_max + 1)
+    ]
     index = next((r.m for r in reports if r.max_rank == sys.n), None)
     return index, reports
 
@@ -169,29 +183,12 @@ def functional_rank_check(
     output derivatives up to order m-1; failure is a refutation, success is
     sampled evidence only.
     """
-    os_ = observability_set(sys, m)
-    qd = q_derivatives(sys, 0)
-    pts = sample_states(sys, n_samples, seed)
-    base_ranks: list[int] = []
-    aug_ranks: list[int] = []
-    agree = 0
-    failed = 0
-    for x in pts:
-        b = sys.bindings(x)
-        try:
-            J = observability_jacobian(os_, x)
-            gq = np.array([[evaluate(g, b) for g in qd.grads[0]]])
-        except EvalError:
-            failed += 1
-            continue
-        rb = numeric_rank(J)
-        ra = numeric_rank(np.vstack([gq, J]))
-        base_ranks.append(rb)
-        aug_ranks.append(ra)
-        if rb == ra:
-            agree += 1
-    if not base_ranks:
-        raise ObservabilityError("all sample points failed to evaluate")
+    J, G, failed = _gradient_stacks(sys, m, n_samples, seed, v=0)
+    rb = numeric_ranks(J)
+    ra = numeric_ranks(np.concatenate([G, J], axis=1))
+    base_ranks = rb.tolist()
+    aug_ranks = ra.tolist()
+    agree = int(np.count_nonzero(rb == ra))
     holds = agree == len(base_ranks)
     verdict = (
         "target gradient lies in the measured span at every sample (necessary condition holds)"
@@ -242,37 +239,20 @@ def functional_index_candidate(
     """
     if v_max < 1:
         raise ObservabilityError("v_max must be >= 1")
-    os_ = observability_set(sys, v_max + 1)
-    qd = q_derivatives(sys, v_max)
-    pts = sample_states(sys, n_samples, seed)
-
-    jacs = []
-    qgrads = []
-    for x in pts:
-        b = sys.bindings(x)
-        try:
-            J = observability_jacobian(os_, x)
-            G = np.array([[evaluate(g, b) for g in qd.grads[k]] for k in range(v_max + 1)])
-        except EvalError:
-            continue
-        jacs.append(J)
-        qgrads.append(G)
-    if not jacs:
-        raise ObservabilityError("all sample points failed to evaluate")
+    J, G, _ = _gradient_stacks(sys, v_max + 1, n_samples, seed, v=v_max)
+    n_checked = len(J)
 
     checks: list[SpanCheck] = []
     candidate = None
     for v in range(1, v_max + 1):
-        rows = sys.p * (v + 1)
+        Jv = J[:, : sys.p * (v + 1)]
+        base = numeric_ranks(Jv)
         all_hold = True
         for k in range(v + 1):
-            in_span = 0
-            for J, G in zip(jacs, qgrads):
-                Jv = J[:rows]
-                if numeric_rank(Jv) == numeric_rank(np.vstack([Jv, G[k : k + 1]])):
-                    in_span += 1
-            holds = in_span == len(jacs)
-            checks.append(SpanCheck(v=v, k=k, n_in_span=in_span, n_checked=len(jacs), holds=holds))
+            aug = numeric_ranks(np.concatenate([Jv, G[:, k : k + 1]], axis=1))
+            in_span = int(np.count_nonzero(base == aug))
+            holds = in_span == n_checked
+            checks.append(SpanCheck(v=v, k=k, n_in_span=in_span, n_checked=n_checked, holds=holds))
             all_hold = all_hold and holds
         if all_hold and candidate is None:
             candidate = v

@@ -68,6 +68,14 @@ def test_analyze_builtin(tmp_path, capsys, load_schema):
     assert payload["functional_index_candidate"] == 1
 
 
+def test_analyze_cstr_high_order(tmp_path):
+    rc = main(["analyze", "--builtin", "cstr", "--m-max", "12", "--out", str(tmp_path)])
+    assert rc == 0
+    payload = _read(tmp_path / "analysis.json")
+    assert [row["max_rank"] for row in payload["rank_table"]] == [2] + [3] * 11
+    assert payload["observability_index"] == 2
+
+
 def test_analyze_system_file_deterministic(tmp_path):
     sys_path = tmp_path / "sys.json"
     save_system(builtin_batch_reactor(), sys_path)

@@ -1,0 +1,273 @@
+"""Taylor-mode jets against the symbolic derivative table they replace.
+
+The oracle builds the table with `lie_derivative`, differentiates every
+entry with `differentiate` and evaluates value and gradients with the
+tree-walk `evaluate`, sample by sample, as the rank tests did before jets.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from funcobs.cli import builtin_double_integrator
+from funcobs.expr import Const, EvalError, ExprError, Pow, Product, Quot, Sum, Sym, WVar
+from funcobs.expr import differentiate, evaluate, parse
+from funcobs.jets import flow_derivatives
+from funcobs.lie import lie_derivative
+from funcobs.observability import (
+    functional_index_candidate,
+    functional_rank_check,
+    numeric_rank,
+    observability_index,
+    sample_states,
+    state_observability_rank,
+)
+from funcobs.system import SystemDef, builtin_batch_reactor, builtin_cstr, linear_to_system
+
+RTOL = 1e-12
+# CLI defaults of `analyze`: 100 samples, seed 42, m_max 6, v_max 3.
+SAMPLES, SEED, M_MAX, V_MAX = 100, 42, 6, 3
+
+BUILTINS = {
+    "batch-reactor": builtin_batch_reactor,
+    "cstr": builtin_cstr,
+    "double-integrator": lambda: linear_to_system(builtin_double_integrator()),
+}
+
+
+def _symbolic_table(sys_, exprs, order):
+    """[k][e] = (L^k exprs[e], its partial derivatives by state)."""
+    rows = [list(exprs)]
+    for _ in range(order - 1):
+        rows.append([lie_derivative(sys_, e) for e in rows[-1]])
+    return [
+        [(e, *(differentiate(e, nm) for nm in sys_.state_names)) for e in row] for row in rows
+    ]
+
+
+def _evaluate_table(sys_, table, pts):
+    """Same layout as `flow_derivatives`; NaN where `evaluate` fails."""
+    out = np.full((len(pts), len(table), len(table[0]), 1 + sys_.n), np.nan)
+    for s, x in enumerate(pts):
+        b = sys_.bindings(x)
+        for k, row in enumerate(table):
+            for e, entries in enumerate(row):
+                for c, expr in enumerate(entries):
+                    try:
+                        out[s, k, e, c] = evaluate(expr, b)
+                    except EvalError:
+                        pass
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _builtin_oracle(name):
+    """Output derivatives of orders < M_MAX and target derivatives of orders
+    <= V_MAX, at the CLI-default samples."""
+    sys_ = BUILTINS[name]()
+    pts = sample_states(sys_, SAMPLES, SEED)
+    h = _evaluate_table(sys_, _symbolic_table(sys_, sys_.h, M_MAX), pts)
+    q = _evaluate_table(sys_, _symbolic_table(sys_, (sys_.q,), V_MAX + 1), pts)
+    return sys_, pts, h, q
+
+
+def _assert_close(got, want):
+    """Error relative to the Taylor-coefficient scale at the same sample.
+
+    Jets compute the coefficients L^k e / k!, with rounding relative to the
+    largest coefficient met so far, so order k is judged against k! times
+    the largest |L^j e| / j!, j <= k, over values, gradients and
+    expressions.  A derivative that cancels to zero, like L^2 x2 under
+    f = (-2*x1^2, 2*x1*x2), is thereby judged against the size of the terms
+    that cancelled rather than against its own rounding noise.
+    """
+    assert got.shape == want.shape
+    fact = np.array([math.factorial(k) for k in range(want.shape[1])]).reshape(1, -1, 1, 1)
+    coeff = np.max(np.abs(want), axis=(2, 3), keepdims=True) / fact
+    scale = fact * np.maximum.accumulate(coeff, axis=1)
+    err = np.abs(got - want) / np.where(scale > 0, scale, 1.0)
+    assert np.max(err) <= RTOL
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_builtin_jets_match_symbolic(name):
+    sys_, pts, h, q = _builtin_oracle(name)
+    _assert_close(flow_derivatives(sys_, sys_.h, M_MAX, pts), h)
+    _assert_close(flow_derivatives(sys_, (sys_.q,), V_MAX + 1, pts), q)
+
+
+def _oracle_ranks(sys_, h, q):
+    """Per-sample ranks computed matrix by matrix, as the rank tests did
+    before jets: (index ranks per m, span-check base/augmented ranks,
+    candidate in-span counts per (v, k))."""
+    p, n = sys_.p, sys_.n
+    assert np.isfinite(h).all() and np.isfinite(q).all()
+    J = h[:, :, :, 1:].reshape(-1, M_MAX * p, n)
+    G = q[:, :, 0, 1:]
+    index = [[numeric_rank(Js[: p * m]) for Js in J] for m in range(1, M_MAX + 1)]
+    base = [numeric_rank(Js) for Js in J]
+    aug = [numeric_rank(np.vstack([Gs[:1], Js])) for Js, Gs in zip(J, G)]
+    counts = []
+    for v in range(1, V_MAX + 1):
+        for k in range(v + 1):
+            Jv = J[:, : p * (v + 1)]
+            counts.append(
+                sum(
+                    numeric_rank(Js) == numeric_rank(np.vstack([Js, Gs[k : k + 1]]))
+                    for Js, Gs in zip(Jv, G)
+                )
+            )
+    return index, base, aug, counts
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_builtin_ranks_match_symbolic_at_cli_defaults(name):
+    sys_, _, h, q = _builtin_oracle(name)
+    index, base, aug, counts = _oracle_ranks(sys_, h, q)
+    _, reports = observability_index(sys_, M_MAX, n_samples=SAMPLES, seed=SEED)
+    assert [r.ranks for r in reports] == index
+    fc = functional_rank_check(sys_, M_MAX, n_samples=SAMPLES, seed=SEED)
+    assert fc.base.ranks == base
+    assert fc.augmented.ranks == aug
+    scan = functional_index_candidate(sys_, V_MAX, n_samples=SAMPLES, seed=SEED)
+    assert [c.n_in_span for c in scan.checks] == counts
+
+
+# ---------------------------------------------------------------------------
+# hypothesis-generated systems
+
+NAMES = ("x1", "x2")
+BOX = {nm: (0.5, 1.5) for nm in NAMES}
+_coef = st.integers(-3, 3).filter(bool).map(Const)
+
+
+_powers = st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+
+
+@st.composite
+def _monomials(draw):
+    factors = [draw(_coef)]
+    for nm, k in zip(NAMES, draw(_powers)):
+        if k:
+            factors.append(Pow(Sym(nm), k) if k > 1 else Sym(nm))
+    return Product(tuple(factors))
+
+
+_polys = st.lists(_monomials(), min_size=1, max_size=2).map(lambda ts: Sum(tuple(ts)))
+
+
+@st.composite
+def _rationals(draw):
+    # the denominator 2 + monomial^2 stays away from zero on the box
+    den = Sum((Const(2), Pow(draw(_monomials()), 2)))
+    return Quot(draw(_polys), den)
+
+
+def _system(f, h, q):
+    return SystemDef(state_names=NAMES, params={}, f=f, h=h, q=q, box=BOX)
+
+
+def _check_against_oracle(sys_, order):
+    pts = sample_states(sys_, 5, 7)
+    exprs = sys_.h + (sys_.q,)
+    want = _evaluate_table(sys_, _symbolic_table(sys_, exprs, order), pts)
+    _assert_close(flow_derivatives(sys_, exprs, order, pts), want)
+
+
+# Symbolic swell bounds the oracle's reach: derivative orders 0..5 for
+# polynomials, 0..3 once quotients and elementary functions enter.
+@settings(max_examples=12)
+@given(st.tuples(_polys, _polys), _polys, _polys)
+def test_polynomial_systems_match_symbolic(f, h, q):
+    _check_against_oracle(_system(f, (h,), q), 6)
+
+
+@settings(max_examples=10)
+@given(st.tuples(_rationals(), _polys), st.one_of(_polys, _rationals()), _polys)
+def test_rational_systems_match_symbolic(f, h, q):
+    _check_against_oracle(_system(f, (h,), q), 4)
+
+
+def test_elementary_functions_match_symbolic():
+    sys_ = _system(
+        (parse("sin(x2) - x1/(1 + x2^2)"), parse("exp(-x1)*cos(x1*x2)")),
+        (parse("ln(x1 + x2^2)"), parse("x1^-2 + x2^3")),
+        parse("exp(x1)*sin(x2)"),
+    )
+    _check_against_oracle(sys_, 4)
+
+
+# ---------------------------------------------------------------------------
+# failure semantics
+
+# x1 spans zero, so ln(x1) is undefined on part of the box.  Only gradient
+# entries decide a skip: the gradients of ln(x1) never contain the ln, so that
+# output skips nothing on either path.
+LN_SYSTEMS = [
+    ("x2*ln(x1)", "x2", True),
+    ("ln(x1)", "x1*x2", False),
+    ("exp(ln(x1)*x2) + x2", "ln(x1)", True),
+]
+
+
+@pytest.mark.parametrize("h, q, skips", LN_SYSTEMS)
+def test_ln_domain_failures_skip_the_same_samples(h, q, skips):
+    sys_ = SystemDef(
+        state_names=NAMES,
+        params={},
+        f=(parse("x2"), parse("-x1 + x2/2")),
+        h=(parse(h),),
+        q=parse(q),
+        box={"x1": (-1.0, 2.0), "x2": (0.5, 1.5)},
+    )
+    m, v, n = 4, 2, 60
+    pts = sample_states(sys_, n, SEED)
+    hs = _evaluate_table(sys_, _symbolic_table(sys_, sys_.h, m), pts)
+    qs = _evaluate_table(sys_, _symbolic_table(sys_, (sys_.q,), v + 1), pts)
+    h_ok = np.isfinite(hs[..., 1:]).all(axis=(1, 2, 3))
+    q_ok = np.isfinite(qs[..., 1:]).all(axis=(1, 2, 3))
+    q0_ok = np.isfinite(qs[:, :1, :, 1:]).all(axis=(1, 2, 3))
+    assert (0 < n - h_ok.sum() < n) if skips else h_ok.all()
+
+    assert state_observability_rank(sys_, m, n_samples=n, seed=SEED).n_failed == n - h_ok.sum()
+    _, reports = observability_index(sys_, m, n_samples=n, seed=SEED)
+    assert reports[0].n_failed == n - h_ok.sum()
+    fc = functional_rank_check(sys_, m, n_samples=n, seed=SEED)
+    assert fc.base.n_failed == n - (h_ok & q0_ok).sum()
+    scan = functional_index_candidate(sys_, v, n_samples=n, seed=SEED)
+    h_ok_v = np.isfinite(hs[:, : v + 1, :, 1:]).all(axis=(1, 2, 3))
+    assert scan.checks[0].n_checked == (h_ok_v & q_ok).sum()
+
+
+def test_jets_raise_on_unbound_symbol():
+    sys_ = builtin_batch_reactor()
+    sys_.params.pop("k2")
+    with pytest.raises(ExprError, match="unbound symbol 'k2'") as err:
+        flow_derivatives(sys_, sys_.h, 3, sample_states(sys_, 4, SEED))
+    assert not isinstance(err.value, EvalError)
+    with pytest.raises(ExprError, match="unbound symbol") as err:
+        state_observability_rank(sys_, 3, n_samples=4)
+    assert not isinstance(err.value, EvalError)
+
+
+def test_jets_raise_on_unsupported_node():
+    sys_ = builtin_batch_reactor()
+    with pytest.raises(ExprError, match="cannot evaluate") as err:
+        flow_derivatives(sys_, (WVar(1, 1),), 2, sample_states(sys_, 4, SEED))
+    assert not isinstance(err.value, EvalError)
+
+
+def test_jets_keep_floating_point_state_scoped():
+    # Domain failures become non-finite entries even when the caller has
+    # floating-point errors raising, and the caller's setting survives.
+    sys_ = _system((parse("x2"), parse("1/x1")), (parse("ln(x1)*x2"),), parse("x1"))
+    pts = np.array([[-1.0, 1.0], [0.0, 1.0], [1.0, 1.0]])
+    with np.errstate(all="raise"):
+        before = np.geterr()
+        d = flow_derivatives(sys_, sys_.h, 3, pts)
+        assert np.geterr() == before
+    assert not np.isfinite(d[0]).all() and not np.isfinite(d[1]).all()
+    assert np.isfinite(d[2]).all()

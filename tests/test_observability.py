@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import funcobs.lie
+import funcobs.observability
 from funcobs.expr import parse, to_text
+from funcobs.jets import flow_derivatives
 from funcobs.observability import (
     ObservabilityError,
     PsiRepresentation,
@@ -14,13 +17,21 @@ from funcobs.observability import (
     lift_psi,
     load_psi,
     numeric_rank,
+    numeric_ranks,
     observability_index,
+    sample_states,
     save_psi,
     state_observability_rank,
     verify_psi,
 )
-from funcobs.cli import data_path
-from funcobs.system import SystemDef, builtin_batch_reactor, builtin_cstr, with_target
+from funcobs.cli import builtin_double_integrator, data_path
+from funcobs.system import (
+    SystemDef,
+    builtin_batch_reactor,
+    builtin_cstr,
+    linear_to_system,
+    with_target,
+)
 
 
 def _double_integrator_nl() -> SystemDef:
@@ -47,6 +58,36 @@ def test_numeric_rank_known_matrices():
 def test_numeric_rank_scale_invariant():
     a = np.array([[1.0, 2.0], [3.0, 4.0], [4.0, 6.0]])
     assert numeric_rank(a) == numeric_rank(1e8 * a) == numeric_rank(1e-8 * a) == 2
+
+
+def test_numeric_ranks_degenerate_stacks():
+    assert numeric_ranks(np.zeros((3, 4, 2))).tolist() == [0, 0, 0]
+    assert numeric_ranks(np.zeros((2, 0, 3))).tolist() == [0, 0]
+    with pytest.raises(ValueError):
+        numeric_ranks(np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "sys_",
+    [
+        builtin_batch_reactor(),
+        builtin_cstr(),
+        linear_to_system(builtin_double_integrator()),
+        with_target(builtin_batch_reactor(), parse("cC")),
+    ],
+    ids=["batch-reactor", "cstr", "double-integrator", "batch-target-cC"],
+)
+def test_batched_ranks_equal_per_sample_ranks(sys_):
+    # the stacks the rank tests build at the CLI defaults (m_max 6, v_max 3)
+    m, p, n = 6, sys_.p, sys_.n
+    d = flow_derivatives(sys_, sys_.h + (sys_.q,), m, sample_states(sys_, 100, 42))
+    J = d[:, :, :p, 1:].reshape(100, m * p, n)
+    G = d[:, :4, p, 1:]
+    stacks = [J[:, : p * k] for k in range(1, m + 1)]
+    stacks += [np.concatenate([G[:, :1], J], axis=1)]
+    stacks += [np.concatenate([J[:, : p * 4], G[:, k : k + 1]], axis=1) for k in range(4)]
+    for stack in stacks:
+        assert numeric_ranks(stack).tolist() == [numeric_rank(a) for a in stack]
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +160,20 @@ def test_functional_index_candidate_none_when_unreachable():
 
 def test_double_integrator_candidate():
     assert functional_index_candidate(_double_integrator_nl(), 2).candidate == 1
+
+
+def test_rank_tests_build_no_symbolic_table(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rank tests must not build a symbolic derivative table")
+
+    for mod in (funcobs.lie, funcobs.observability):
+        monkeypatch.setattr(mod, "observability_set", forbidden)
+        monkeypatch.setattr(mod, "q_derivatives", forbidden)
+    sys_ = builtin_cstr()
+    assert state_observability_rank(sys_, 3, n_samples=20).max_rank == 3
+    assert observability_index(sys_, 6, n_samples=20)[0] == 2
+    assert functional_rank_check(sys_, 6, n_samples=20).holds
+    assert functional_index_candidate(sys_, 3, n_samples=20).candidate == 1
 
 
 # ---------------------------------------------------------------------------
