@@ -93,6 +93,17 @@ from .sim import (
     error_decay_fit,
     write_csv,
 )
-from .cli import builtin_double_integrator, data_path, main
 
 __version__ = "0.1.0"
+
+_CLI_EXPORTS = ("builtin_double_integrator", "data_path", "main")
+
+
+def __getattr__(name):
+    # The CLI names load on first use, so that `python -m funcobs.cli` does
+    # not find funcobs.cli already imported by the package.
+    if name in _CLI_EXPORTS:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

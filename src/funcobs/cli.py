@@ -17,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .expr import EvalError, ExprError, compile_exprs, to_text
+from .expr import EvalError, ExprError, to_text
 from .lie import LieError, observability_set, q_derivatives
 from .observability import (
     ObservabilityError,
@@ -31,6 +31,7 @@ from .sim import (
     SimError,
     SimTrace,
     chain_init_exact,
+    compile_checked,
     error_decay_fit,
     exact_error_grid,
     simulate_coupled,
@@ -412,13 +413,13 @@ def _invariance_drift(sys_: SystemDef, obs: ObserverIO, trace: SimTrace) -> floa
     os_ = observability_set(sys_, v + 1)
     subs = {(i, j): os_.table[i][j - 1] for i in range(v + 1) for j in range(1, sys_.p + 1)}
     rhs = substitute(obs.T, subs)
-    fn = compile_exprs((lhs, rhs), sys_.state_names, sys_.params)
+    fn = compile_checked((lhs, rhs), sys_.state_names, sys_.params)
     stride = max(1, trace.x.shape[0] // 200)
     worst = 0.0
-    for row in trace.x[::stride]:
+    for row in trace.x[::stride].tolist():
         try:
             lv, rv = fn(row)
-        except (EvalError, ZeroDivisionError, ValueError, OverflowError):
+        except EvalError:
             continue
         worst = max(worst, abs(lv - rv))
     return worst

@@ -4,6 +4,11 @@ The step size is constant and the loop is straight-line arithmetic, so a
 given configuration reproduces bit-for-bit.  Estimates that pass 1e12 in
 magnitude truncate the run with a divergence event; evaluation failures
 (domain errors in the plant or observer expressions) truncate likewise.
+
+The nonlinear rollouts run on plain Python floats: the state is a list and
+the compiled expressions receive floats, so a division by zero or a log of
+a negative raises instead of producing inf/nan.  scipy is imported only for
+the exact error dynamics of order two and above.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .expr import EvalError, as_expr, compile_exprs
 from .lie import observability_set, q_derivatives
@@ -50,36 +54,52 @@ def _steps(t_final: float, dt: float) -> int:
     return n
 
 
-_EVAL_ERRORS = (EvalError, ZeroDivisionError, ValueError, OverflowError)
+_DOMAIN_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
+
+
+def compile_checked(exprs, names, consts):
+    """compile_exprs, with the domain errors of the compiled expressions
+    (ZeroDivisionError, ValueError, OverflowError) re-raised as EvalError.
+    Callers catch EvalError alone, so an error in their own code propagates
+    instead of passing for a failure of the expressions."""
+    exprs = tuple(exprs)
+    fn = compile_exprs(exprs, names, consts)
+
+    def call(vals):
+        try:
+            return fn(vals)
+        except _DOMAIN_ERRORS as exc:
+            raise EvalError(str(exc), ", ".join(map(str, exprs))) from exc
+
+    return call
 
 
 def _rk4_loop(rhs, s0, dt: float, n_steps: int, zhat_slot=None):
-    s = np.array(s0, dtype=float)
-    out = np.empty((n_steps + 1, s.size))
-    out[0] = s
+    s = [float(v) for v in s0]
+    rows = [s]
     event = None
-    last = n_steps
-    for k in range(n_steps):
+    h2, h6 = 0.5 * dt, dt / 6.0
+    for _ in range(n_steps):
         try:
             k1 = rhs(s)
-            k2 = rhs(s + (0.5 * dt) * k1)
-            k3 = rhs(s + (0.5 * dt) * k2)
-            k4 = rhs(s + dt * k3)
-        except _EVAL_ERRORS:
+            k2 = rhs([a + h2 * b for a, b in zip(s, k1)])
+            k3 = rhs([a + h2 * b for a, b in zip(s, k2)])
+            k4 = rhs([a + dt * b for a, b in zip(s, k3)])
+        except EvalError:
             event = "evaluation-failure"
-            last = k
             break
-        s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(s)):
+        s = [
+            a + h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+            for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)
+        ]
+        if not all(map(math.isfinite, s)):
             event = "divergence"
-            last = k
             break
-        out[k + 1] = s
+        rows.append(s)
         if zhat_slot is not None and abs(s[zhat_slot]) > DIVERGENCE_LIMIT:
             event = "divergence"
-            last = k + 1
             break
-    return out[: last + 1], event
+    return np.array(rows), event
 
 
 def _meta(dt, t_final, event, n_recorded, extra=None) -> dict:
@@ -95,23 +115,23 @@ def _meta(dt, t_final, event, n_recorded, extra=None) -> dict:
     return meta
 
 
-def _fill_outputs(states, x_cols, h_fn, q_fn, zhat_fn=None):
+def _fill_outputs(states, n, p, h_fn, q_fn, zhat_fn=None):
     """Evaluate outputs row by row; a failing row truncates the trace."""
-    rows = states.shape[0]
-    p = len(h_fn(states[0, x_cols])) if rows else 0
-    y = np.empty((rows, p))
-    z = np.empty(rows)
-    zh = np.full(rows, np.nan)
-    for k in range(rows):
-        xk = states[k, x_cols]
+    y, z, zh = [], [], []
+    cut = None
+    for row in states.tolist():
+        x = row[:n]
         try:
-            y[k] = h_fn(xk)
-            z[k] = q_fn(xk)[0]
-            if zhat_fn is not None:
-                zh[k] = zhat_fn(states[k], y[k])
-        except _EVAL_ERRORS:
-            return y[:k], z[:k], zh[:k], k
-    return y, z, zh, None
+            yk = h_fn(x)
+            zk = q_fn(x)[0]
+            zhk = math.nan if zhat_fn is None else zhat_fn(row, yk)
+        except EvalError:
+            cut = len(z)
+            break
+        y.append(yk)
+        z.append(zk)
+        zh.append(zhk)
+    return np.array(y, dtype=float).reshape(len(z), p), np.array(z), np.array(zh), cut
 
 
 def integrate_plant(sys: SystemDef, x0, t_final: float, dt: float = 1e-3) -> SimTrace:
@@ -120,12 +140,12 @@ def integrate_plant(sys: SystemDef, x0, t_final: float, dt: float = 1e-3) -> Sim
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.n,):
         raise SimError(f"x0 must have {sys.n} entries")
-    f_fn = compile_exprs(sys.f, sys.state_names, sys.params)
-    h_fn = compile_exprs(sys.h, sys.state_names, sys.params)
-    q_fn = compile_exprs((sys.q,), sys.state_names, sys.params)
+    f_fn = compile_checked(sys.f, sys.state_names, sys.params)
+    h_fn = compile_checked(sys.h, sys.state_names, sys.params)
+    q_fn = compile_checked((sys.q,), sys.state_names, sys.params)
 
-    states, event = _rk4_loop(lambda s: np.array(f_fn(s)), x0, dt, n_steps)
-    y, z, zh, cut = _fill_outputs(states, slice(0, sys.n), h_fn, q_fn)
+    states, event = _rk4_loop(f_fn, x0, dt, n_steps)
+    y, z, zh, cut = _fill_outputs(states, sys.n, sys.p, h_fn, q_fn)
     if cut is not None:
         states = states[:cut]
         event = event or "evaluation-failure"
@@ -174,11 +194,11 @@ def simulate_coupled(
     wnames = [f"w{i}_{j}" for i in range(v + 1) for j in range(1, sys.p + 1)]
     wexprs = [os_.table[i][j - 1] for i in range(v + 1) for j in range(1, sys.p + 1)]
 
-    f_fn = compile_exprs(sys.f, sys.state_names, sys.params)
-    w_fn = compile_exprs(wexprs, sys.state_names, sys.params)
-    T_fn = compile_exprs((obs.T,), wnames, sys.params)
-    h_fn = compile_exprs(sys.h, sys.state_names, sys.params)
-    q_fn = compile_exprs((sys.q,), sys.state_names, sys.params)
+    f_fn = compile_checked(sys.f, sys.state_names, sys.params)
+    w_fn = compile_checked(wexprs, sys.state_names, sys.params)
+    T_fn = compile_checked((obs.T,), wnames, sys.params)
+    h_fn = compile_checked(sys.h, sys.state_names, sys.params)
+    q_fn = compile_checked((sys.q,), sys.state_names, sys.params)
 
     n = sys.n
     a = obs.alphas.alphas
@@ -186,20 +206,15 @@ def simulate_coupled(
     def rhs(s):
         x = s[:n]
         c = s[n:]
-        dx = f_fn(x)
-        tv = T_fn(w_fn(x))[0]
-        dc = np.empty(v)
-        dc[: v - 1] = c[1:]
-        top = tv
+        top = T_fn(w_fn(x))[0]
         for k in range(1, v + 1):
             top -= a[k - 1] * c[v - k]
-        dc[v - 1] = top
-        return np.concatenate((np.asarray(dx), dc))
+        return [*f_fn(x), *c[1:], top]
 
     s0 = np.concatenate((x0, chain0))
     states, event = _rk4_loop(rhs, s0, dt, n_steps, zhat_slot=n)
     y, z, zh, cut = _fill_outputs(
-        states, slice(0, n), h_fn, q_fn, zhat_fn=lambda s, yk: s[n]
+        states, n, sys.p, h_fn, q_fn, zhat_fn=lambda s, yk: s[n]
     )
     if cut is not None:
         states = states[:cut]
@@ -237,28 +252,25 @@ def simulate_custom_observer(
 
     xi_names = [f"xi{i+1}" for i in range(m)]
     y_names = [f"y{j+1}" for j in range(sys.p)]
-    f_fn = compile_exprs(sys.f, sys.state_names, sys.params)
-    h_fn = compile_exprs(sys.h, sys.state_names, sys.params)
-    q_fn = compile_exprs((sys.q,), sys.state_names, sys.params)
-    rhs_fn = compile_exprs(tuple(as_expr(e) for e in xi_rhs), xi_names + y_names, sys.params)
-    zhat_fn = compile_exprs((as_expr(zhat_expr),), xi_names + y_names, sys.params)
+    f_fn = compile_checked(sys.f, sys.state_names, sys.params)
+    h_fn = compile_checked(sys.h, sys.state_names, sys.params)
+    q_fn = compile_checked((sys.q,), sys.state_names, sys.params)
+    rhs_fn = compile_checked(tuple(as_expr(e) for e in xi_rhs), xi_names + y_names, sys.params)
+    zhat_fn = compile_checked((as_expr(zhat_expr),), xi_names + y_names, sys.params)
 
     n = sys.n
 
     def rhs(s):
         x = s[:n]
-        dx = f_fn(x)
-        args = np.concatenate((s[n:], np.asarray(h_fn(x))))
-        dxi = rhs_fn(args)
-        return np.concatenate((np.asarray(dx), np.asarray(dxi)))
+        return [*f_fn(x), *rhs_fn([*s[n:], *h_fn(x)])]
 
     s0 = np.concatenate((x0, xi0))
     states, event = _rk4_loop(rhs, s0, dt, n_steps)
 
     def zhat_of(srow, yrow):
-        return zhat_fn(np.concatenate((srow[n:], yrow)))[0]
+        return zhat_fn([*srow[n:], *yrow])[0]
 
-    y, z, zh, cut = _fill_outputs(states, slice(0, n), h_fn, q_fn, zhat_fn=zhat_of)
+    y, z, zh, cut = _fill_outputs(states, n, sys.p, h_fn, q_fn, zhat_fn=zhat_of)
     if cut is not None:
         states = states[:cut]
         event = event or "evaluation-failure"
@@ -329,6 +341,17 @@ def simulate_linear_observer(
 # exact error dynamics and decay-rate fitting
 
 
+def _expm(C: np.ndarray) -> np.ndarray:
+    """Matrix exponential.  A 1x1 input takes np.exp, the route
+    scipy.linalg.expm itself takes for it, so scipy is loaded only for
+    orders two and above."""
+    if C.shape == (1, 1):
+        return np.exp(C)
+    import scipy.linalg
+
+    return scipy.linalg.expm(C)
+
+
 def _error_companion(alphas: AlphaCoeffs) -> np.ndarray:
     v = alphas.v
     C = np.zeros((v, v))
@@ -348,7 +371,7 @@ def exact_error_solution(alphas: AlphaCoeffs, e_init, t: float) -> float:
     if alphas.v == 1:
         return float(e_init[0] * math.exp(-alphas.alphas[0] * t))
     C = _error_companion(alphas)
-    return float((scipy.linalg.expm(C * t) @ e_init)[0])
+    return float((_expm(C * t) @ e_init)[0])
 
 
 def exact_error_grid(alphas: AlphaCoeffs, e_init, t_grid) -> np.ndarray:
@@ -363,9 +386,9 @@ def exact_error_grid(alphas: AlphaCoeffs, e_init, t_grid) -> np.ndarray:
     dts = np.diff(t_grid)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
         raise SimError("time grid must be uniform")
-    C = _error_companion(alphas) if alphas.v > 1 else np.array([[-alphas.alphas[0]]])
-    u = scipy.linalg.expm(C * t_grid[0]) @ e_init if t_grid[0] != 0 else e_init.copy()
-    Phi = scipy.linalg.expm(C * dts[0])
+    C = _error_companion(alphas)
+    u = _expm(C * t_grid[0]) @ e_init if t_grid[0] != 0 else e_init.copy()
+    Phi = _expm(C * dts[0])
     out = np.empty(t_grid.size)
     out[0] = u[0]
     for k in range(1, t_grid.size):
@@ -413,13 +436,8 @@ def write_csv(trace: SimTrace, path):
         + [f"y{j+1}" for j in range(p)]
         + ["z", "zhat", "err"]
     )
+    table = np.column_stack((trace.t, trace.x, trace.y, trace.z, trace.zhat, trace.err))
+    row_fmt = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for k in range(trace.t.size):
-            row = (
-                [trace.t[k]]
-                + list(trace.x[k])
-                + list(np.atleast_1d(trace.y[k]))
-                + [trace.z[k], trace.zhat[k], trace.err[k]]
-            )
-            fh.write(",".join(format(val, ".17g") for val in row) + "\n")
+        fh.writelines(row_fmt % tuple(row) for row in table.tolist())

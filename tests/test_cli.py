@@ -1,10 +1,14 @@
 """Command-line behavior: exit codes, artifacts, determinism, schemas."""
 
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import funcobs
 from funcobs.cli import (
     CliInputError,
     data_path,
@@ -415,3 +419,36 @@ def test_demo_batch_decay_rate(tmp_path):
 
 def test_demo_unknown_name_exit_2(capsys):
     assert main(["demo", "pendulum"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# import path
+
+
+def _run_python(*args):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(funcobs.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_cli_import_leaves_scipy_out():
+    proc = _run_python("-c", "import sys, funcobs.cli; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    proc = _run_python("-W", "error::RuntimeWarning", "-m", "funcobs.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: funcobs" in proc.stdout
+
+
+def test_package_reexports_cli_names():
+    assert funcobs.main is main
+    assert funcobs.data_path is data_path
+    assert funcobs.builtin_double_integrator().n == 2
+    with pytest.raises(AttributeError):
+        funcobs.no_such_name

@@ -1,17 +1,22 @@
 """Fixed-step simulation, exact error dynamics, decay fitting, CSV export."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from funcobs.expr import parse
+from funcobs import sim
+from funcobs.expr import EvalError, as_expr, compile_exprs, parse
+from funcobs.lie import observability_set
 from funcobs.observability import load_psi, verify_psi
 from funcobs.cli import builtin_double_integrator, data_path
 from funcobs.sim import (
+    DIVERGENCE_LIMIT,
     SimError,
     SimTrace,
     chain_init_exact,
+    compile_checked,
     error_decay_fit,
     exact_error_grid,
     exact_error_solution,
@@ -29,7 +34,13 @@ from funcobs.synthesis import (
     synthesize_nonlinear,
     xi_from_chain,
 )
-from funcobs.system import SystemDef, builtin_batch_reactor, linear_to_system
+from funcobs.system import (
+    LinearSystemDef,
+    SystemDef,
+    builtin_batch_reactor,
+    builtin_cstr,
+    linear_to_system,
+)
 
 X0 = np.array([1.0, 0.2, 0.1])
 
@@ -100,6 +111,52 @@ def test_evaluation_failure_truncates():
     assert tr.meta["event"] == "evaluation-failure"
     assert tr.t.size < 101
     assert tr.x.shape[0] == tr.y.shape[0] == tr.z.size
+
+
+def test_division_by_zero_is_evaluation_failure():
+    # the plant's f is undefined at the start; no inf/nan, no RuntimeWarning
+    sys_ = SystemDef(
+        state_names=("x",),
+        params={},
+        f=(parse("-1/(x-0.25)"),),
+        h=(parse("x"),),
+        q=parse("x"),
+        box={"x": (0.0, 1.0)},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tr = integrate_plant(sys_, np.array([0.25]), 1.0, dt=1e-2)
+    assert tr.meta["event"] == "evaluation-failure"
+    assert tr.t.size == 1
+    assert tr.x.tolist() == [[0.25]]
+
+
+def test_compile_checked_reports_domain_errors_only():
+    fn = compile_checked((parse("ln(x)"), parse("1/(x-1)")), ["x"], {})
+    assert fn([2.0]) == (math.log(2.0), 1.0)
+    with pytest.raises(EvalError, match="math domain error"):
+        fn([-1.0])
+    with pytest.raises(EvalError, match="division by zero"):
+        fn([1.0])
+    with pytest.raises(TypeError):
+        fn(None)  # a caller's bug, not a domain error
+
+
+def test_programming_error_in_rollout_propagates():
+    def broken_rhs(s):
+        raise ValueError("shape bug")
+
+    with pytest.raises(ValueError, match="shape bug"):
+        sim._rk4_loop(broken_rhs, [1.0], 1e-2, 10)
+
+    def ident(x):
+        return tuple(x)
+
+    def no_target(x):
+        return ()
+
+    with pytest.raises(IndexError):
+        sim._fill_outputs(np.zeros((3, 1)), 1, 1, ident, no_target)
 
 
 # ---------------------------------------------------------------------------
@@ -290,3 +347,215 @@ def test_csv_deterministic(tmp_path):
     write_csv(simulate_coupled(sys_, obs, X0, chain0, 0.2, dt=1e-2), p1)
     write_csv(simulate_coupled(sys_, obs, X0, chain0, 0.2, dt=1e-2), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the float rollouts and the row-format CSV writer against the numpy code
+# they replaced, kept here as oracles: the arithmetic is unchanged, so the
+# results must agree bit for bit
+
+
+def _numpy_rk4(rhs, s0, dt, n_steps, zhat_slot=None):
+    s = np.array(s0, dtype=float)
+    out = np.empty((n_steps + 1, s.size))
+    out[0] = s
+    last = n_steps
+    for k in range(n_steps):
+        k1 = rhs(s)
+        k2 = rhs(s + (0.5 * dt) * k1)
+        k3 = rhs(s + (0.5 * dt) * k2)
+        k4 = rhs(s + dt * k3)
+        s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(s)):
+            last = k
+            break
+        out[k + 1] = s
+        if zhat_slot is not None and abs(s[zhat_slot]) > DIVERGENCE_LIMIT:
+            last = k + 1
+            break
+    return out[: last + 1]
+
+
+def _numpy_outputs(sys_, states):
+    h_fn = compile_exprs(sys_.h, sys_.state_names, sys_.params)
+    q_fn = compile_exprs((sys_.q,), sys_.state_names, sys_.params)
+    xs = states[:, : sys_.n]
+    y = np.array([h_fn(x) for x in xs]).reshape(len(xs), sys_.p)
+    return y, np.array([q_fn(x)[0] for x in xs])
+
+
+def _numpy_coupled(sys_, obs, x0, chain0, t_final, dt):
+    v, n = obs.v, sys_.n
+    os_ = observability_set(sys_, v + 1)
+    wnames = [f"w{i}_{j}" for i in range(v + 1) for j in range(1, sys_.p + 1)]
+    wexprs = [os_.table[i][j - 1] for i in range(v + 1) for j in range(1, sys_.p + 1)]
+    f_fn = compile_exprs(sys_.f, sys_.state_names, sys_.params)
+    w_fn = compile_exprs(wexprs, sys_.state_names, sys_.params)
+    T_fn = compile_exprs((obs.T,), wnames, sys_.params)
+    a = obs.alphas.alphas
+
+    def rhs(s):
+        x, c = s[:n], s[n:]
+        dc = np.empty(v)
+        dc[: v - 1] = c[1:]
+        top = T_fn(w_fn(x))[0]
+        for k in range(1, v + 1):
+            top -= a[k - 1] * c[v - k]
+        dc[v - 1] = top
+        return np.concatenate((np.asarray(f_fn(x)), dc))
+
+    s0 = np.concatenate((x0, chain0))
+    return _numpy_rk4(rhs, s0, dt, int(round(t_final / dt)), zhat_slot=n)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_float_plant_rollout_matches_numpy_loop():
+    sys_ = builtin_batch_reactor()
+    tr = integrate_plant(sys_, X0, 2.0, dt=1e-3)
+    f_fn = compile_exprs(sys_.f, sys_.state_names, sys_.params)
+    ref = _numpy_rk4(lambda s: np.array(f_fn(s)), X0, 1e-3, 2000)
+    y, z = _numpy_outputs(sys_, ref)
+    assert _same_bits(tr.x, ref)
+    assert _same_bits(tr.y, y) and _same_bits(tr.z, z)
+
+
+def _cstr_setup(lam):
+    sys_ = builtin_cstr()
+    rep = load_psi(data_path("psi_cstr.json"))
+    verify_psi(sys_, rep, rtol=1e-8)
+    return sys_, synthesize_nonlinear(rep, poles_to_alphas([lam]))
+
+
+def _triple_integrator_setup(lam):
+    # y = x1, z = x2: an order-2 estimate chain
+    lsys = LinearSystemDef(
+        F=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], H=[[1.0, 0.0, 0.0]], q=[[0.0, 1.0, 0.0]]
+    )
+    lobs = design_linear_observer(lsys, [lam, lam])
+    return linear_to_system(lsys), linear_observer_to_io(lobs)
+
+
+@pytest.mark.parametrize(
+    "case, t_final, dt",
+    [
+        ("batch", 2.0, 1e-3),
+        ("cstr", 2.0, 1e-3),
+        ("triple-integrator", 2.0, 1e-3),
+        ("batch-divergent", 20.0, 1e-2),
+    ],
+)
+def test_float_coupled_rollout_matches_numpy_loop(case, t_final, dt):
+    if case == "batch":
+        (sys_, obs), x0, off = _batch_setup(-2.0), X0, [0.3]
+    elif case == "cstr":
+        (sys_, obs), x0, off = _cstr_setup(-1.0), np.array([1.0, 1.0, 0.9]), [-0.2]
+    elif case == "triple-integrator":
+        (sys_, obs), x0, off = _triple_integrator_setup(-1.5), np.array([0.3, -0.4, 0.5]), [0.2, -0.1]
+    else:
+        sys_ = builtin_batch_reactor()
+        rep = load_psi(data_path("psi_batch.json"))
+        verify_psi(sys_, rep)
+        obs = synthesize_nonlinear(rep, make_alphas([-3.0]), allow_unstable=True)
+        x0, off = X0, [0.1]
+    chain0 = chain_init_exact(sys_, x0, obs.v) + np.array(off)
+    tr = simulate_coupled(sys_, obs, x0, chain0, t_final, dt=dt)
+    ref = _numpy_coupled(sys_, obs, x0, chain0, t_final, dt)
+    y, z = _numpy_outputs(sys_, ref)
+    assert tr.meta["event"] == ("divergence" if case == "batch-divergent" else None)
+    assert _same_bits(tr.x, ref[:, : sys_.n])
+    assert _same_bits(tr.zhat, ref[:, sys_.n])
+    assert _same_bits(tr.y, y) and _same_bits(tr.z, z)
+
+
+def test_float_custom_observer_rollout_matches_numpy_loop():
+    sys_, _ = _batch_setup(-2.0)
+    xi_rhs = ["-2*xi1 - (1 - 2/k1)*(-2*y1 + k2*y1^2)"]
+    zhat = "xi1 - (1 - 2/k1)*y1"
+    tr = simulate_custom_observer(sys_, xi_rhs, zhat, X0, [-0.2], 2.0, dt=1e-3)
+
+    n = sys_.n
+    names = ["xi1", "y1"]
+    f_fn = compile_exprs(sys_.f, sys_.state_names, sys_.params)
+    h_fn = compile_exprs(sys_.h, sys_.state_names, sys_.params)
+    rhs_fn = compile_exprs(tuple(as_expr(e) for e in xi_rhs), names, sys_.params)
+    zhat_fn = compile_exprs((as_expr(zhat),), names, sys_.params)
+
+    def rhs(s):
+        args = np.concatenate((s[n:], np.asarray(h_fn(s[:n]))))
+        return np.concatenate((np.asarray(f_fn(s[:n])), np.asarray(rhs_fn(args))))
+
+    ref = _numpy_rk4(rhs, np.concatenate((X0, [-0.2])), 1e-3, 2000)
+    y, z = _numpy_outputs(sys_, ref)
+    zh = np.array([zhat_fn(np.concatenate((s[n:], yk)))[0] for s, yk in zip(ref, y)])
+    assert _same_bits(tr.x, ref[:, :n])
+    assert _same_bits(tr.zhat, zh)
+    assert _same_bits(tr.y, y) and _same_bits(tr.z, z)
+
+
+def _per_value_csv(trace, path):
+    n = trace.x.shape[1]
+    p = trace.y.shape[1] if trace.y.ndim == 2 else 1
+    cols = ["t"] + [f"x{i+1}" for i in range(n)] + [f"y{j+1}" for j in range(p)] + ["z", "zhat", "err"]
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for k in range(trace.t.size):
+            row = (
+                [trace.t[k]]
+                + list(trace.x[k])
+                + list(np.atleast_1d(trace.y[k]))
+                + [trace.z[k], trace.zhat[k], trace.err[k]]
+            )
+            fh.write(",".join(format(val, ".17g") for val in row) + "\n")
+
+
+def _specials_trace(y_ndim):
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1.7976931348623157e308,
+                0.1 + 0.2, 1e16, 123456789.125, -2.5e-17, 1.0]
+    vals = np.array(specials * 3)
+    k = vals.size // 6
+    return SimTrace(
+        t=np.arange(k) * 0.1,
+        x=vals[: 2 * k].reshape(k, 2),
+        y=vals[2 * k: 3 * k] if y_ndim == 1 else vals[2 * k: 3 * k].reshape(k, 1),
+        z=vals[3 * k: 4 * k],
+        zhat=vals[4 * k: 5 * k],
+        err=vals[5 * k:],
+    )
+
+
+@pytest.mark.parametrize("case", ["specials-1d-y", "specials-2d-y", "rollout"])
+def test_csv_matches_per_value_writer(tmp_path, case):
+    if case == "rollout":
+        sys_, obs = _batch_setup()
+        tr = simulate_coupled(sys_, obs, X0, chain_init_exact(sys_, X0, 1) + 0.1, 1.0, dt=1e-3)
+    else:
+        tr = _specials_trace(1 if case == "specials-1d-y" else 2)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_csv(tr, new)
+    _per_value_csv(tr, old)
+    assert new.read_bytes() == old.read_bytes()
+    if case != "rollout":
+        text = new.read_text()
+        assert "nan" in text and "-inf" in text and ",-0," in text
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.5])
+def test_exact_error_grid_first_order_matches_scipy_expm(t0):
+    import scipy.linalg
+
+    al = make_alphas([1.7])
+    t = t0 + np.arange(4001) * 1e-3
+    e0 = np.array([0.3])
+    C = np.array([[-al.alphas[0]]])
+    u = scipy.linalg.expm(C * t[0]) @ e0 if t[0] != 0 else e0.copy()
+    Phi = scipy.linalg.expm(C * np.diff(t)[0])
+    ref = np.empty(t.size)
+    ref[0] = u[0]
+    for k in range(1, t.size):
+        u = Phi @ u
+        ref[k] = u[0]
+    assert _same_bits(exact_error_grid(al, e0, t), ref)
