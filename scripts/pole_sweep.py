@@ -10,11 +10,10 @@ import csv
 import sys
 from pathlib import Path
 
-from funcobs.cli import data_path
 from funcobs.observability import load_psi, verify_psi
 from funcobs.sim import chain_init_exact, error_decay_fit, simulate_coupled
 from funcobs.synthesis import poles_to_alphas, synthesize_nonlinear
-from funcobs.system import builtin_batch_reactor
+from funcobs.system import builtin_batch_reactor, data_path
 
 
 def main(argv=None) -> int:

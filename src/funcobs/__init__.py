@@ -29,6 +29,8 @@ from .system import (
     linear_to_system,
     builtin_batch_reactor,
     builtin_cstr,
+    builtin_double_integrator,
+    data_path,
     system_equivalence,
     with_target,
 )
@@ -67,6 +69,7 @@ from .synthesis import (
     poles_to_alphas,
     make_alphas,
     synthesize_nonlinear,
+    invariance_identity,
     verify_invariance,
     linear_functional_index,
     compute_M,
@@ -96,14 +99,12 @@ from .sim import (
 
 __version__ = "0.1.0"
 
-_CLI_EXPORTS = ("builtin_double_integrator", "data_path", "main")
-
 
 def __getattr__(name):
-    # The CLI names load on first use, so that `python -m funcobs.cli` does
-    # not find funcobs.cli already imported by the package.
-    if name in _CLI_EXPORTS:
-        from . import cli
+    # `main` loads on first use, so that `python -m funcobs.cli` does not
+    # find funcobs.cli already imported by the package.
+    if name == "main":
+        from .cli import main
 
-        return getattr(cli, name)
+        return main
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

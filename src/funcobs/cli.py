@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-from dataclasses import dataclass
-from importlib import resources
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .expr import EvalError, ExprError, to_text
-from .lie import LieError, observability_set, q_derivatives
+from .lie import LieError
 from .observability import (
     ObservabilityError,
     functional_index_candidate,
@@ -44,6 +43,7 @@ from .synthesis import (
     SynthesisError,
     UnstablePolesError,
     design_linear_observer,
+    invariance_identity,
     linear_error_init,
     load_observer,
     poles_to_alphas,
@@ -53,12 +53,12 @@ from .synthesis import (
     xi_from_chain,
 )
 from .system import (
+    BUILTINS,
     LinearSystemDef,
     SystemDef,
     SystemDefError,
-    builtin_batch_reactor,
-    builtin_cstr,
-    linear_to_system,
+    builtin_double_integrator,
+    data_path,
     load_linear_system,
     load_system,
 )
@@ -84,27 +84,6 @@ _INPUT_ERRORS = (
 
 class CliInputError(ValueError):
     pass
-
-
-def data_path(name: str):
-    """Path to a bundled data file (psi representations, linear systems)."""
-    return resources.files("funcobs").joinpath("data", name)
-
-
-BUILTINS = {
-    "batch-reactor": builtin_batch_reactor,
-    "cstr": builtin_cstr,
-}
-
-
-def builtin_double_integrator() -> LinearSystemDef:
-    with data_path("lin_double_integrator.json").open() as fh:
-        raw = json.load(fh)
-    return LinearSystemDef(
-        F=np.asarray(raw["F"], dtype=float),
-        H=np.asarray(raw["H"], dtype=float),
-        q=np.asarray(raw["q"], dtype=float),
-    )
 
 
 @dataclass
@@ -188,10 +167,8 @@ def _resolve_system(cfg: RunConfig) -> tuple[SystemDef, str]:
     if cfg.builtin is not None and cfg.system is not None:
         raise CliInputError("give either a system file or --builtin, not both")
     if cfg.builtin is not None:
-        if cfg.builtin == "double-integrator":
-            return linear_to_system(builtin_double_integrator()), cfg.builtin
         if cfg.builtin not in BUILTINS:
-            known = ", ".join(sorted(BUILTINS) + ["double-integrator"])
+            known = ", ".join(sorted(BUILTINS))
             raise CliInputError(f"unknown builtin '{cfg.builtin}' (known: {known})")
         return BUILTINS[cfg.builtin](), cfg.builtin
     if cfg.system is not None:
@@ -222,7 +199,7 @@ def _analysis_payload(cfg: RunConfig, sys_: SystemDef, label: str) -> dict:
     )
     fcheck = functional_rank_check(sys_, cfg.m_max, n_samples=cfg.samples, seed=cfg.seed)
     scan = functional_index_candidate(sys_, cfg.v_max, n_samples=cfg.samples, seed=cfg.seed)
-    payload = {
+    return {
         "report": "analysis",
         "defaults": cfg.json_defaults(),
         "system": {"source": label, "n": sys_.n, "p": sys_.p, "target": to_text(sys_.q)},
@@ -242,9 +219,13 @@ def _analysis_payload(cfg: RunConfig, sys_: SystemDef, label: str) -> dict:
         "functional_index_candidate": scan.candidate,
         "functional_index_note": scan.note,
     }
+
+
+def cmd_analyze(cfg: RunConfig) -> int:
+    sys_, label = _resolve_system(cfg)
+    payload = _analysis_payload(cfg, sys_, label)
     if cfg.psi is not None:
-        rep = load_psi(cfg.psi)
-        ver = verify_psi(sys_, rep, n_samples=cfg.samples, seed=cfg.seed)
+        ver = verify_psi(sys_, load_psi(cfg.psi), n_samples=cfg.samples, seed=cfg.seed)
         payload["psi_check"] = {
             "v": ver.v,
             "passed": ver.passed,
@@ -252,12 +233,6 @@ def _analysis_payload(cfg: RunConfig, sys_: SystemDef, label: str) -> dict:
             "residuals": ver.residuals,
             "rtol": ver.rtol,
         }
-    return payload
-
-
-def cmd_analyze(cfg: RunConfig) -> int:
-    sys_, label = _resolve_system(cfg)
-    payload = _analysis_payload(cfg, sys_, label)
     print("== funcobs analyze ==")
     print(cfg.header())
     print(f"system: {label}  (n={sys_.n} states, p={sys_.p} outputs, target {to_text(sys_.q)})")
@@ -301,8 +276,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
 # synthesize
 
 
-def _synthesize_nonlinear(cfg: RunConfig) -> tuple[dict, ObserverIO, int]:
-    sys_, label = _resolve_system(cfg)
+def _design(cfg: RunConfig, sys_: SystemDef):
+    """The nonlinear design stage: verify psi against the system, place the
+    poles, build the observer and check its defining identity."""
     if cfg.psi is None:
         raise CliInputError("--psi is required for nonlinear synthesis")
     if not cfg.poles:
@@ -314,9 +290,14 @@ def _synthesize_nonlinear(cfg: RunConfig) -> tuple[dict, ObserverIO, int]:
             "psi representation failed verification against the system; residuals "
             + ", ".join(f"{r:.3e}" for r in ver.residuals)
         )
-    alphas = poles_to_alphas(cfg.poles)
-    obs = synthesize_nonlinear(rep, alphas, allow_unstable=cfg.allow_unstable)
+    obs = synthesize_nonlinear(rep, poles_to_alphas(cfg.poles), allow_unstable=cfg.allow_unstable)
     inv = verify_invariance(sys_, obs, n_samples=cfg.samples, seed=cfg.seed)
+    return ver, obs, inv
+
+
+def _synthesize_nonlinear(cfg: RunConfig) -> tuple[dict, ObserverIO, int]:
+    sys_, label = _resolve_system(cfg)
+    ver, obs, inv = _design(cfg, sys_)
     payload = {
         "report": "synthesis",
         "defaults": cfg.json_defaults(),
@@ -324,15 +305,15 @@ def _synthesize_nonlinear(cfg: RunConfig) -> tuple[dict, ObserverIO, int]:
         "mode": "nonlinear",
         "poles": [[p.real, p.imag] for p in cfg.poles],
         "observer": obs.to_dict(),
-        "hurwitz": alphas.hurwitz,
+        "hurwitz": obs.alphas.hurwitz,
         "psi_max_residual": max(ver.residuals),
         "invariance": {"max_residual": inv.max_residual, "passed": inv.passed, "rtol": inv.rtol},
     }
     print("== funcobs synthesize ==")
     print(cfg.header())
-    print(f"system: {label}; psi order v={rep.v}; poles {cfg.poles}")
+    print(f"system: {label}; psi order v={obs.v}; poles {cfg.poles}")
     print(f"psi verification: max residual {max(ver.residuals):.3e}")
-    print(f"alphas (monic coefficients, high to low): {list(alphas.alphas)}")
+    print(f"alphas (monic coefficients, high to low): {list(obs.alphas.alphas)}")
     print(f"T = {to_text(obs.T)}")
     word = "PASS" if inv.passed else "FAIL"
     print(f"invariance check: {word}, max residual {inv.max_residual:.3e}")
@@ -383,9 +364,19 @@ def cmd_synthesize(cfg: RunConfig) -> int:
 # simulate
 
 
-def _chain_from_init(sys_: SystemDef, x0, v: int, init: tuple) -> np.ndarray:
+def _x0(cfg: RunConfig, n: int) -> np.ndarray:
+    if cfg.x0 is None:
+        raise CliInputError("--x0 is required for simulation")
+    x0 = np.asarray(cfg.x0, dtype=float)
+    if x0.shape != (n,):
+        raise CliInputError(f"--x0 needs {n} values for this system")
+    return x0
+
+
+def _init_chain(exact: np.ndarray, init: tuple) -> np.ndarray:
+    """The estimate and its first v-1 derivatives at t = 0 under --init,
+    given their values on the invariant manifold."""
     mode, val = init
-    exact = chain_init_exact(sys_, np.asarray(x0), v)
     if mode == "exact":
         return exact
     if mode == "offset":
@@ -394,26 +385,15 @@ def _chain_from_init(sys_: SystemDef, x0, v: int, init: tuple) -> np.ndarray:
         return chain
     if mode == "explicit":
         arr = np.asarray(val, dtype=float)
-        if arr.shape != (v,):
-            raise CliInputError(f"explicit init needs v={v} values, got {arr.size}")
+        if arr.shape != exact.shape:
+            raise CliInputError(f"explicit init needs v={exact.size} values, got {arr.size}")
         return arr
     raise CliInputError(f"unknown init mode '{mode}'")
 
 
 def _invariance_drift(sys_: SystemDef, obs: ObserverIO, trace: SimTrace) -> float:
-    """Largest violation of the defining identity along the simulated states."""
-    from .expr import Const, Product, Sum, simplify, substitute
-
-    v = obs.v
-    qd = q_derivatives(sys_, v)
-    terms = [qd.Q[v]]
-    for k, a in enumerate(obs.alphas.alphas, start=1):
-        terms.append(Product((Const(float(a)), qd.Q[v - k])))
-    lhs = simplify(Sum(tuple(terms)))
-    os_ = observability_set(sys_, v + 1)
-    subs = {(i, j): os_.table[i][j - 1] for i in range(v + 1) for j in range(1, sys_.p + 1)}
-    rhs = substitute(obs.T, subs)
-    fn = compile_checked((lhs, rhs), sys_.state_names, sys_.params)
+    """Largest violation of the design identity along the simulated states."""
+    fn = compile_checked(invariance_identity(sys_, obs), sys_.state_names, sys_.params)
     stride = max(1, trace.x.shape[0] // 200)
     worst = 0.0
     for row in trace.x[::stride].tolist():
@@ -425,18 +405,18 @@ def _invariance_drift(sys_: SystemDef, obs: ObserverIO, trace: SimTrace) -> floa
     return worst
 
 
-def _fit_or_note(trace: SimTrace, t_lo: float, t_hi: float):
-    try:
-        return error_decay_fit(trace, t_lo, t_hi), None
-    except SimError as exc:
-        return None, str(exc)
-
-
-def _sim_summary(cfg: RunConfig, trace: SimTrace, e_exact: np.ndarray, extra: dict) -> dict:
-    mismatch = float(np.max(np.abs(trace.err - e_exact))) if trace.err.size else float("nan")
+def _sim_summary(cfg: RunConfig, trace: SimTrace, alphas, e_init, extra: dict) -> dict:
+    if trace.t.size:
+        e_exact = exact_error_grid(alphas, e_init, trace.t)
+        mismatch = float(np.max(np.abs(trace.err - e_exact)))
+    else:  # the run failed at t = 0 and recorded nothing to compare
+        mismatch = float("nan")
     t_end = float(trace.t[-1]) if trace.t.size else 0.0
     lo, hi = 0.1 * t_end, 0.4 * t_end
-    rate, note = _fit_or_note(trace, lo, hi)
+    try:
+        rate, note = error_decay_fit(trace, lo, hi), None
+    except SimError as exc:
+        rate, note = None, str(exc)
     summary = {
         "report": "simulation",
         "defaults": cfg.json_defaults(),
@@ -454,8 +434,9 @@ def _sim_summary(cfg: RunConfig, trace: SimTrace, e_exact: np.ndarray, extra: di
 
 
 def _print_sim_summary(summary: dict):
+    err = summary["max_abs_error"]
     print(f"recorded {summary['n_recorded']} rows; event: {summary['event'] or 'none'}")
-    print(f"max |error| = {summary['max_abs_error']:.6e}")
+    print(f"max |error| = {'none' if err is None else format(err, '.6e')}")
     print(f"max |error - exact| = {summary['max_exact_mismatch']:.6e}")
     if summary.get("max_invariance_drift") is not None:
         print(f"invariance drift along trajectory: {summary['max_invariance_drift']:.6e}")
@@ -467,70 +448,45 @@ def _print_sim_summary(summary: dict):
 
 
 def _simulate_chain(cfg: RunConfig, sys_: SystemDef, label: str, obs: ObserverIO):
-    if cfg.x0 is None:
-        raise CliInputError("--x0 is required for simulation")
-    x0 = np.asarray(cfg.x0, dtype=float)
-    if x0.shape != (sys_.n,):
-        raise CliInputError(f"--x0 needs {sys_.n} values for this system")
-    chain0 = _chain_from_init(sys_, x0, obs.v, cfg.init)
+    x0 = _x0(cfg, sys_.n)
     exact0 = chain_init_exact(sys_, x0, obs.v)
+    chain0 = _init_chain(exact0, cfg.init)
     trace = simulate_coupled(sys_, obs, x0, chain0, cfg.t_final, dt=cfg.dt)
-    e_exact = exact_error_grid(obs.alphas, chain0 - exact0, trace.t)
-    drift = _invariance_drift(sys_, obs, trace)
-    summary = _sim_summary(
+    return trace, _sim_summary(
         cfg,
         trace,
-        e_exact,
+        obs.alphas,
+        chain0 - exact0,
         {
             "mode": "chain",
             "system": {"source": label, "n": sys_.n, "p": sys_.p},
             "observer_order": obs.v,
             "init": {"mode": cfg.init[0], "chain0": chain0.tolist()},
-            "max_invariance_drift": drift,
+            "max_invariance_drift": _invariance_drift(sys_, obs, trace),
         },
     )
-    return trace, summary
 
 
-def _simulate_realized(cfg: RunConfig, lobs: LinearObserver):
-    if cfg.linear is None:
-        raise CliInputError(
-            "a realized linear observer needs --linear with the plant matrices"
-        )
-    lsys = load_linear_system(cfg.linear)
-    if cfg.x0 is None:
-        raise CliInputError("--x0 is required for simulation")
-    x0 = np.asarray(cfg.x0, dtype=float)
-    if x0.shape != (lsys.n,):
-        raise CliInputError(f"--x0 needs {lsys.n} values for this system")
-    v = lobs.v
-    zd = np.array([(lsys.q @ np.linalg.matrix_power(lsys.F, k) @ x0).item() for k in range(v)])
-    mode, val = cfg.init
-    if mode == "offset":
-        zd[0] += val
-    elif mode == "explicit":
-        arr = np.asarray(val, dtype=float)
-        if arr.shape != (v,):
-            raise CliInputError(f"explicit init needs v={v} values, got {arr.size}")
-        zd = arr
-    yd = np.vstack([(lsys.H @ np.linalg.matrix_power(lsys.F, k) @ x0) for k in range(v)])
+def _simulate_realized(cfg: RunConfig, lsys: LinearSystemDef, label: str, lobs: LinearObserver):
+    x0 = _x0(cfg, lsys.n)
+    powers = [np.linalg.matrix_power(lsys.F, k) for k in range(lobs.v)]
+    zd = _init_chain(np.array([(lsys.q @ Fk @ x0).item() for Fk in powers]), cfg.init)
+    yd = np.vstack([(lsys.H @ Fk @ x0) for Fk in powers])
     xi0 = xi_from_chain(lobs, zd, yd)
     trace = simulate_linear_observer(lsys, lobs, x0, xi0, cfg.t_final, dt=cfg.dt)
-    e_init = linear_error_init(lsys, lobs, x0, xi0)
-    e_exact = exact_error_grid(lobs.alphas, e_init, trace.t)
-    summary = _sim_summary(
+    return trace, _sim_summary(
         cfg,
         trace,
-        e_exact,
+        lobs.alphas,
+        linear_error_init(lsys, lobs, x0, xi0),
         {
             "mode": "realized-linear",
-            "system": {"source": cfg.linear, "n": lsys.n, "p": lsys.p},
+            "system": {"source": label, "n": lsys.n, "p": lsys.p},
             "observer_order": lobs.v,
-            "init": {"mode": mode, "zhat_derivs": zd.tolist(), "xi0": xi0.tolist()},
+            "init": {"mode": cfg.init[0], "zhat_derivs": zd.tolist(), "xi0": xi0.tolist()},
             "max_invariance_drift": None,
         },
     )
-    return trace, summary
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -540,7 +496,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     print("== funcobs simulate ==")
     print(cfg.header())
     if isinstance(obs, LinearObserver):
-        trace, summary = _simulate_realized(cfg, obs)
+        if cfg.linear is None:
+            raise CliInputError(
+                "a realized linear observer needs --linear with the plant matrices"
+            )
+        trace, summary = _simulate_realized(cfg, load_linear_system(cfg.linear), cfg.linear, obs)
     else:
         sys_, label = _resolve_system(cfg)
         trace, summary = _simulate_chain(cfg, sys_, label, obs)
@@ -552,19 +512,19 @@ def cmd_simulate(cfg: RunConfig) -> int:
     _write_json(sum_path, summary)
     print(f"wrote {trace_path}")
     print(f"wrote {sum_path}")
-    if trace.meta.get("event") == "divergence":
+    event = trace.meta.get("event")
+    if event == "divergence":
         print("simulation diverged; trace truncated")
-        return EXIT_DIVERGED
-    if trace.meta.get("event") == "evaluation-failure":
+    elif event == "evaluation-failure":
         print("simulation hit an evaluation failure; trace truncated")
-        return EXIT_DIVERGED
-    return EXIT_OK
+    return EXIT_OK if event is None else EXIT_DIVERGED
 
 
 # ---------------------------------------------------------------------------
 # demo
 
-
+# Each demo is a preset of RunConfig fields; `demo NAME` equals the staged
+# `analyze`/`synthesize`/`simulate` runs with the same flags.
 _DEMOS = {
     "batch": {
         "builtin": "batch-reactor",
@@ -580,117 +540,71 @@ _DEMOS = {
         "x0": (1.0, 1.0, 0.9),
         "init": ("offset", 0.1),
     },
+    "linear": {
+        "builtin": "double-integrator",
+        "poles": (-3 + 0j,),
+        "x0": (0.0, 1.0),
+        "init": ("offset", 0.1),
+    },
 }
 
 
-def _demo_linear(cfg: RunConfig, out: str) -> int:
-    lsys = builtin_double_integrator()
-    lobs = design_linear_observer(lsys, (-3 + 0j,), v_max=cfg.v_max)
-    print("== funcobs demo linear ==")
-    print(cfg.header())
-    print(f"double integrator: order v={lobs.v}, alphas {list(lobs.alphas.alphas)}")
-    for nm in ("A", "B", "C", "D"):
-        print(f"{nm} = {getattr(lobs, nm).tolist()}")
-    x0 = np.array([0.0, 1.0])
-    zd = np.array([(lsys.q @ x0).item() + 0.1])
-    yd = np.atleast_2d(lsys.H @ x0)
-    xi0 = xi_from_chain(lobs, zd, yd)
-    trace = simulate_linear_observer(lsys, lobs, x0, xi0, cfg.t_final, dt=cfg.dt)
-    e_init = linear_error_init(lsys, lobs, x0, xi0)
-    e_exact = exact_error_grid(lobs.alphas, e_init, trace.t)
-    summary = _sim_summary(
-        cfg,
-        trace,
-        e_exact,
-        {
-            "mode": "realized-linear",
-            "system": {"source": "double-integrator", "n": lsys.n, "p": lsys.p},
-            "observer_order": lobs.v,
-            "init": {"mode": "offset", "zhat_derivs": zd.tolist(), "xi0": xi0.tolist()},
-            "max_invariance_drift": None,
-        },
-    )
-    _print_sim_summary(summary)
-    save_observer(lobs, os.path.join(out, "observer.json"))
-    write_csv(trace, os.path.join(out, "trace.csv"))
-    report = {
-        "report": "demo",
-        "demo": "linear",
-        "defaults": cfg.json_defaults(),
-        "observer": lobs.to_dict(),
-        "simulation": summary,
-    }
-    _write_json(os.path.join(out, "report.json"), report)
-    print(f"wrote artifacts to {out}")
-    return EXIT_DIVERGED if trace.meta.get("event") else EXIT_OK
-
-
-def cmd_demo(cfg: RunConfig) -> int:
-    if cfg.demo == "linear":
-        out = _outdir(cfg, default="funcobs-demo-linear")
-        return _demo_linear(cfg, out)
-    if cfg.demo not in _DEMOS:
-        raise CliInputError(f"unknown demo '{cfg.demo}' (known: batch, cstr, linear)")
-    preset = _DEMOS[cfg.demo]
-    out = _outdir(cfg, default=f"funcobs-demo-{cfg.demo}")
-    sys_ = BUILTINS[preset["builtin"]]()
-    print(f"== funcobs demo {cfg.demo} ==")
-    print(cfg.header())
-
-    payload = _analysis_payload(cfg, sys_, preset["builtin"])
-    idx = payload["observability_index"]
+def _demo_chain(cfg: RunConfig):
+    sys_, label = _resolve_system(cfg)
+    analysis = _analysis_payload(cfg, sys_, label)
+    idx = analysis["observability_index"]
     print(
         f"analysis: observability index "
         f"{idx if idx is not None else 'NOT FOUND (state rank deficient)'}; "
-        f"functional candidate v={payload['functional_index_candidate']}"
+        f"functional candidate v={analysis['functional_index_candidate']}"
     )
-    _write_json(os.path.join(out, "analysis.json"), payload)
-
-    with data_path(preset["psi"]).open() as fh:
-        raw = json.load(fh)
-    from .expr import parse
-    from .observability import PsiRepresentation
-
-    rep = PsiRepresentation(v=int(raw["v"]), psi=tuple(parse(s) for s in raw["psi"]))
-    ver = verify_psi(sys_, rep, n_samples=cfg.samples, seed=cfg.seed)
-    alphas = poles_to_alphas(preset["poles"])
-    obs = synthesize_nonlinear(rep, alphas)
-    inv = verify_invariance(sys_, obs, n_samples=cfg.samples, seed=cfg.seed)
+    ver, obs, inv = _design(cfg, sys_)
     print(
-        f"synthesis: poles {preset['poles']}; psi residual {max(ver.residuals):.3e}; "
+        f"synthesis: poles {cfg.poles}; psi residual {max(ver.residuals):.3e}; "
         f"invariance residual {inv.max_residual:.3e}"
     )
     print(f"T = {to_text(obs.T)}")
-    save_observer(obs, os.path.join(out, "observer.json"))
+    trace, summary = _simulate_chain(cfg, sys_, label, obs)
+    return obs, trace, summary, {
+        "analysis": analysis,
+        "observer": obs.to_dict(),
+        "psi_max_residual": max(ver.residuals),
+        "invariance_max_residual": inv.max_residual,
+    }
 
-    x0 = np.asarray(preset["x0"], dtype=float)
-    chain0 = _chain_from_init(sys_, x0, obs.v, preset["init"])
-    exact0 = chain_init_exact(sys_, x0, obs.v)
-    trace = simulate_coupled(sys_, obs, x0, chain0, cfg.t_final, dt=cfg.dt)
-    e_exact = exact_error_grid(obs.alphas, chain0 - exact0, trace.t)
-    drift = _invariance_drift(sys_, obs, trace)
-    summary = _sim_summary(
-        cfg,
-        trace,
-        e_exact,
-        {
-            "mode": "chain",
-            "system": {"source": preset["builtin"], "n": sys_.n, "p": sys_.p},
-            "observer_order": obs.v,
-            "init": {"mode": preset["init"][0], "chain0": chain0.tolist()},
-            "max_invariance_drift": drift,
-        },
-    )
+
+def _demo_linear(cfg: RunConfig):
+    lsys = builtin_double_integrator()
+    lobs = design_linear_observer(lsys, cfg.poles, v_max=cfg.v_max)
+    print(f"double integrator: order v={lobs.v}, alphas {list(lobs.alphas.alphas)}")
+    for nm in ("A", "B", "C", "D"):
+        print(f"{nm} = {getattr(lobs, nm).tolist()}")
+    trace, summary = _simulate_realized(cfg, lsys, cfg.builtin, lobs)
+    return lobs, trace, summary, {"observer": lobs.to_dict()}
+
+
+def cmd_demo(cfg: RunConfig) -> int:
+    if cfg.demo not in _DEMOS:
+        raise CliInputError(f"unknown demo '{cfg.demo}' (known: {', '.join(_DEMOS)})")
+    preset = dict(_DEMOS[cfg.demo])
+    if "psi" in preset:
+        preset["psi"] = str(data_path(preset["psi"]))
+    cfg = replace(cfg, **preset)
+    out = _outdir(cfg, default=f"funcobs-demo-{cfg.demo}")
+    print(f"== funcobs demo {cfg.demo} ==")
+    print(cfg.header())
+    stages = _demo_linear if cfg.demo == "linear" else _demo_chain
+    obs, trace, summary, fields = stages(cfg)
     _print_sim_summary(summary)
+    if "analysis" in fields:
+        _write_json(os.path.join(out, "analysis.json"), fields["analysis"])
+    save_observer(obs, os.path.join(out, "observer.json"))
     write_csv(trace, os.path.join(out, "trace.csv"))
     report = {
         "report": "demo",
         "demo": cfg.demo,
         "defaults": cfg.json_defaults(),
-        "analysis": payload,
-        "observer": obs.to_dict(),
-        "psi_max_residual": max(ver.residuals),
-        "invariance_max_residual": inv.max_residual,
+        **fields,
         "simulation": summary,
     }
     _write_json(os.path.join(out, "report.json"), report)

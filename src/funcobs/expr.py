@@ -630,6 +630,9 @@ def _cdiv(a, b):
 
 
 def simplify(e: Expr) -> Expr:
+    """Simplified form of e.  Common factors cancel (x/x, (x-1)/(x-1) -> 1;
+    0*ln(x) -> 0), so the result may be defined where e is not: checks on
+    the simplified form can pass at points where e fails to evaluate."""
     return _simp(e)
 
 

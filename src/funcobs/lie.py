@@ -72,6 +72,10 @@ class ObservabilitySet:
                 out.append((i, j, e))
         return out
 
+    def derivative_map(self) -> dict[tuple[int, int], Expr]:
+        """(i, j) -> the expression that the measurement derivative w<i>_<j> stands for."""
+        return {(i, j): e for i, j, e in self.rows()}
+
 
 def observability_set(sys: SystemDef, m: int) -> ObservabilitySet:
     if m < 1:

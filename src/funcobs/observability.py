@@ -349,9 +349,8 @@ def verify_psi(
     box.  On success the representation is marked verified."""
     for k, e in enumerate(rep.psi):
         _check_psi_against_system(sys, e, f"psi[{k}]")
-    os_ = observability_set(sys, rep.v + 1)
+    subs = observability_set(sys, rep.v + 1).derivative_map()
     qd = q_derivatives(sys, rep.v)
-    subs = {(i, j): os_.table[i][j - 1] for i in range(rep.v + 1) for j in range(1, sys.p + 1)}
     residuals = []
     reports = []
     ok = True

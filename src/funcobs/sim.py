@@ -190,9 +190,9 @@ def simulate_coupled(
     if chain0.shape != (v,):
         raise SimError(f"chain0 must have v={v} entries")
 
-    os_ = observability_set(sys, v + 1)
-    wnames = [f"w{i}_{j}" for i in range(v + 1) for j in range(1, sys.p + 1)]
-    wexprs = [os_.table[i][j - 1] for i in range(v + 1) for j in range(1, sys.p + 1)]
+    wmap = observability_set(sys, v + 1).derivative_map()
+    wnames = [f"w{i}_{j}" for i, j in wmap]
+    wexprs = list(wmap.values())
 
     f_fn = compile_checked(sys.f, sys.state_names, sys.params)
     w_fn = compile_checked(wexprs, sys.state_names, sys.params)

@@ -109,11 +109,24 @@ def synthesize_nonlinear(
             "psi representation has not been verified against a system",
             stacklevel=2,
         )
-    terms: list[Expr] = [rep.psi[rep.v]]
-    for k, a in enumerate(alphas.alphas, start=1):
-        terms.append(Product((Const(float(a)), rep.psi[rep.v - k])))
-    T = simplify(Sum(tuple(terms)))
-    return ObserverIO(v=rep.v, alphas=alphas, T=T, psi=rep)
+    return ObserverIO(v=rep.v, alphas=alphas, T=_assigned_sum(rep.psi, alphas), psi=rep)
+
+
+def _assigned_sum(seq, alphas: AlphaCoeffs) -> Expr:
+    """seq[v] + a1*seq[v-1] + ... + av*seq[0], simplified, for v = len(seq) - 1."""
+    v = len(seq) - 1
+    terms = [Product((Const(float(a)), seq[v - k])) for k, a in enumerate(alphas.alphas, start=1)]
+    return simplify(Sum((seq[v], *terms)))
+
+
+def invariance_identity(sys: SystemDef, obs: ObserverIO) -> tuple[Expr, Expr]:
+    """Both sides of the defining identity of the design, over the states:
+    the v-th derivative of the target plus the assigned-polynomial
+    combination of its lower derivatives, and T evaluated on the output
+    derivatives.  The design is correct exactly when they agree."""
+    lhs = _assigned_sum(q_derivatives(sys, obs.v).Q, obs.alphas)
+    rhs = substitute(obs.T, observability_set(sys, obs.v + 1).derivative_map())
+    return lhs, rhs
 
 
 @dataclass
@@ -131,18 +144,8 @@ def verify_invariance(
     seed: int = 42,
     rtol: float = 1e-9,
 ) -> InvarianceReport:
-    """Check the defining identity of the design on the box: the v-th
-    derivative of the target plus the assigned-polynomial combination of its
-    lower derivatives must equal T evaluated on the output derivatives."""
-    v = obs.v
-    qd = q_derivatives(sys, v)
-    lhs_terms: list[Expr] = [qd.Q[v]]
-    for k, a in enumerate(obs.alphas.alphas, start=1):
-        lhs_terms.append(Product((Const(float(a)), qd.Q[v - k])))
-    lhs = simplify(Sum(tuple(lhs_terms)))
-    os_ = observability_set(sys, v + 1)
-    subs = {(i, j): os_.table[i][j - 1] for i in range(v + 1) for j in range(1, sys.p + 1)}
-    rhs = substitute(obs.T, subs)
+    """Check the design identity (`invariance_identity`) numerically on the box."""
+    lhs, rhs = invariance_identity(sys, obs)
     r = system_equivalence(sys, lhs, rhs, n=n_samples, seed=seed, rtol=rtol)
     return InvarianceReport(
         max_residual=r.max_residual, passed=r.equivalent, rtol=rtol, report=r
@@ -363,16 +366,17 @@ def save_observer(obs, path):
 
 
 def load_observer(path):
-    """Load either observer flavour; the key set decides which."""
+    """Load either observer flavour; the key set decides which.  The declared
+    order v must equal the number of polynomial coefficients."""
     with open(path) as fh:
         raw = json.load(fh)
-    if "T" in raw:
-        return ObserverIO(
-            v=int(raw["v"]),
-            alphas=make_alphas(raw["alphas"]),
-            T=parse(raw["T"]),
+    if "T" not in raw and "A" not in raw:
+        raise SynthesisError(f"{path}: not an observer file (no 'T' or 'A' key)")
+    alphas = make_alphas(raw["alphas"])
+    if int(raw["v"]) != alphas.v:
+        raise SynthesisError(
+            f"{path}: observer order v={raw['v']} does not match {alphas.v} coefficient(s)"
         )
-    if "A" in raw:
-        alphas = make_alphas(raw["alphas"])
-        return linear_realization(alphas, np.asarray(raw["betas"], dtype=float))
-    raise SynthesisError(f"{path}: not an observer file (no 'T' or 'A' key)")
+    if "T" in raw:
+        return ObserverIO(v=alphas.v, alphas=alphas, T=parse(raw["T"]))
+    return linear_realization(alphas, np.asarray(raw["betas"], dtype=float))

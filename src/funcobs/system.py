@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
+from importlib import resources
 
 import numpy as np
 
@@ -338,3 +339,25 @@ def linear_to_system(lsys: LinearSystemDef, box: dict | None = None) -> SystemDe
 def with_target(sys: SystemDef, q) -> SystemDef:
     """Copy of a system with a different estimation target."""
     return replace(sys, q=as_expr(q))
+
+
+# ---------------------------------------------------------------------------
+# bundled data and the builtin registry
+
+
+def data_path(name: str):
+    """Path to a bundled data file (psi representations, linear systems)."""
+    return resources.files("funcobs").joinpath("data", name)
+
+
+def builtin_double_integrator() -> LinearSystemDef:
+    """Position measured, velocity estimated: the linear example."""
+    return load_linear_system(data_path("lin_double_integrator.json"))
+
+
+# Builtin plants by the name `--builtin` takes.
+BUILTINS = {
+    "batch-reactor": builtin_batch_reactor,
+    "cstr": builtin_cstr,
+    "double-integrator": lambda: linear_to_system(builtin_double_integrator()),
+}

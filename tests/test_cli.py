@@ -391,6 +391,63 @@ def test_simulate_requires_observer(tmp_path):
     assert main(["simulate", "--builtin", "batch-reactor", "--x0", "1,0.2,0.1"]) == 2
 
 
+BATCH_X0 = ["--builtin", "batch-reactor", "--x0=1,0.2,0.1"]
+LIN_X0 = ["--linear", str(data_path("lin_double_integrator.json")), "--x0=0,1"]
+
+
+@pytest.mark.parametrize(
+    "observer,plant",
+    [
+        ({"v": 1, "alphas": [3, 2], "T": "w1_1 + 3*w0_1"}, BATCH_X0),
+        ({"v": 2, "alphas": [3], "T": "w2_1 + 3*w1_1"}, BATCH_X0),
+        (
+            {"v": 2, "alphas": [3], "betas": [[9.0], [3.0]], "A": [[-3.0]],
+             "B": [[-9.0]], "C": [[1.0]], "D": [[3.0]]},
+            LIN_X0,
+        ),
+    ],
+    ids=["T-form-v1-two-alphas", "T-form-v2-one-alpha", "realized-v2-one-alpha"],
+)
+def test_simulate_observer_order_mismatch_exit_2(tmp_path, capsys, observer, plant):
+    path = tmp_path / "observer.json"
+    path.write_text(json.dumps(observer))
+    rc = main(
+        ["simulate", *plant, "--observer", str(path), "--t-final", "1",
+         "--out", str(tmp_path / "run")]
+    )
+    assert rc == 2
+    assert "does not match" in capsys.readouterr().out
+
+
+def test_simulate_failure_at_t0_writes_empty_trace_exit_4(tmp_path, capsys, load_schema):
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(
+        json.dumps(
+            {
+                "states": ["x1", "x2"],
+                "f": ["x2", "-x1"],
+                "h": ["ln(x1)", "x2"],
+                "q": "x1",
+                "box": {"x1": [0.1, 2.0], "x2": [-1.0, 1.0]},
+            }
+        )
+    )
+    obs = tmp_path / "observer.json"
+    obs.write_text(json.dumps({"v": 1, "alphas": [2.0], "T": "w1_2 + 2*w0_2"}))
+    out = tmp_path / "run"
+    rc = main(
+        ["simulate", str(sys_path), "--observer", str(obs), "--x0=-1,1", "--out", str(out)]
+    )
+    assert rc == 4
+    assert "evaluation failure" in capsys.readouterr().out
+    assert (out / "trace.csv").read_text() == "t,x1,x2,y1,y2,z,zhat,err\n"
+    summary = _read(out / "summary.json")
+    jsonschema.validate(summary, load_schema("simulation.schema.json"))
+    assert summary["n_recorded"] == 0
+    assert summary["event"] == "evaluation-failure"
+    assert summary["max_abs_error"] is None
+
+
 # ---------------------------------------------------------------------------
 # demo
 
@@ -419,6 +476,63 @@ def test_demo_batch_decay_rate(tmp_path):
 
 def test_demo_unknown_name_exit_2(capsys):
     assert main(["demo", "pendulum"]) == 2
+
+
+LIN_DI = str(data_path("lin_double_integrator.json"))
+
+# Each demo's preset, written as the staged commands it equals.
+DEMO_STAGES = {
+    "batch": {
+        "analyze": ["--builtin", "batch-reactor"],
+        "synthesize": ["--builtin", "batch-reactor", "--psi", PSI_BATCH, "--poles=-2"],
+        "simulate": ["--builtin", "batch-reactor", "--x0=1.0,0.2,0.0", "--init", "explicit=0.0"],
+    },
+    "cstr": {
+        "analyze": ["--builtin", "cstr"],
+        "synthesize": ["--builtin", "cstr", "--psi", str(data_path("psi_cstr.json")), "--poles=-1"],
+        "simulate": ["--builtin", "cstr", "--x0=1.0,1.0,0.9", "--init", "offset=0.1"],
+    },
+    "linear": {
+        "synthesize": ["--linear", LIN_DI, "--poles=-3"],
+        "simulate": ["--linear", LIN_DI, "--x0=0.0,1.0", "--init", "offset=0.1"],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_STAGES))
+def test_demo_is_the_staged_pipeline(tmp_path, name):
+    stages = DEMO_STAGES[name]
+    demo, staged = tmp_path / "demo", tmp_path / "staged"
+    assert main(["demo", name, "--t-final", "2", "--out", str(demo)]) == 0
+    assert main(["synthesize", *stages["synthesize"], "--out", str(staged)]) == 0
+    rc = main(
+        [
+            "simulate",
+            *stages["simulate"],
+            "--observer",
+            str(staged / "observer.json"),
+            "--t-final",
+            "2",
+            "--out",
+            str(staged),
+        ]
+    )
+    assert rc == 0
+    for fn in ("observer.json", "trace.csv"):
+        assert (demo / fn).read_bytes() == (staged / fn).read_bytes(), fn
+    report = _read(demo / "report.json")
+    summary = _read(staged / "summary.json")
+    if name == "linear":
+        assert not (demo / "analysis.json").exists()
+        assert report["simulation"]["system"].pop("source") == "double-integrator"
+        assert summary["system"].pop("source") == LIN_DI
+    else:
+        assert main(["analyze", *stages["analyze"], "--out", str(staged)]) == 0
+        assert (demo / "analysis.json").read_bytes() == (staged / "analysis.json").read_bytes()
+        synthesis = _read(staged / "synthesis.json")
+        assert report["psi_max_residual"] == synthesis["psi_max_residual"]
+        assert report["invariance_max_residual"] == synthesis["invariance"]["max_residual"]
+    assert report["simulation"] == summary
 
 
 # ---------------------------------------------------------------------------

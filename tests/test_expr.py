@@ -245,6 +245,10 @@ SIMPLIFY_CASES = [
     ("0*y + x", "x"),
     ("1*x", "x"),
     ("x/1", "x"),
+    # common factors cancel, which widens the domain (see simplify)
+    ("x/x", "1"),
+    ("(x-1)/(x-1)", "1"),
+    ("0*ln(x)", "0"),
 ]
 
 
@@ -367,6 +371,18 @@ def test_equivalence_skips_counted():
     )
     assert r.n_skipped > 0
     assert r.equivalent
+
+
+def test_simplified_form_passes_where_raw_is_undefined():
+    # system_equivalence pins each parameter to a one-point interval; pinned
+    # at x = 1, the raw quotient is 0/0 at every sample, its simplified form 1.
+    raw = parse("(x-1)/(x-1) + y")
+    box = {"x": (1.0, 1.0), "y": (0.0, 1.0)}
+    with pytest.raises(IndeterminateEquivalence):
+        equivalent_numeric(raw, parse("1 + y"), box)
+    r = equivalent_numeric(simplify(raw), parse("1 + y"), box)
+    assert r.equivalent
+    assert r.n_skipped == 0
 
 
 # ---------------------------------------------------------------------------
