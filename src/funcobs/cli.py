@@ -391,8 +391,11 @@ def _init_chain(exact: np.ndarray, init: tuple) -> np.ndarray:
     raise CliInputError(f"unknown init mode '{mode}'")
 
 
-def _invariance_drift(sys_: SystemDef, obs: ObserverIO, trace: SimTrace) -> float:
-    """Largest violation of the design identity along the simulated states."""
+def _invariance_drift(sys_: SystemDef, obs: ObserverIO, trace: SimTrace) -> float | None:
+    """Largest violation of the design identity along the simulated states;
+    None for a trace with no rows."""
+    if not trace.t.size:
+        return None
     fn = compile_checked(invariance_identity(sys_, obs), sys_.state_names, sys_.params)
     stride = max(1, trace.x.shape[0] // 200)
     worst = 0.0
@@ -410,7 +413,7 @@ def _sim_summary(cfg: RunConfig, trace: SimTrace, alphas, e_init, extra: dict) -
         e_exact = exact_error_grid(alphas, e_init, trace.t)
         mismatch = float(np.max(np.abs(trace.err - e_exact)))
     else:  # the run failed at t = 0 and recorded nothing to compare
-        mismatch = float("nan")
+        mismatch = None
     t_end = float(trace.t[-1]) if trace.t.size else 0.0
     lo, hi = 0.1 * t_end, 0.4 * t_end
     try:
@@ -434,12 +437,14 @@ def _sim_summary(cfg: RunConfig, trace: SimTrace, alphas, e_init, extra: dict) -
 
 
 def _print_sim_summary(summary: dict):
-    err = summary["max_abs_error"]
+    def fmt(val):
+        return "none" if val is None else format(val, ".6e")
+
     print(f"recorded {summary['n_recorded']} rows; event: {summary['event'] or 'none'}")
-    print(f"max |error| = {'none' if err is None else format(err, '.6e')}")
-    print(f"max |error - exact| = {summary['max_exact_mismatch']:.6e}")
-    if summary.get("max_invariance_drift") is not None:
-        print(f"invariance drift along trajectory: {summary['max_invariance_drift']:.6e}")
+    print(f"max |error| = {fmt(summary['max_abs_error'])}")
+    print(f"max |error - exact| = {fmt(summary['max_exact_mismatch'])}")
+    if summary["mode"] == "chain":
+        print(f"invariance drift along trajectory: {fmt(summary['max_invariance_drift'])}")
     fit = summary["decay_fit"]
     if fit["rate"] is not None:
         print(f"fitted decay rate over [{fit['window'][0]:.3g}, {fit['window'][1]:.3g}]: {fit['rate']:.6g}")

@@ -933,6 +933,7 @@ def equivalent_numeric(
 # compilation to plain python callables (used by the simulators)
 
 _PYFN = {"exp": "_exp", "ln": "_log", "sin": "_sin", "cos": "_cos"}
+_PY_NS = {"_exp": math.exp, "_log": math.log, "_sin": math.sin, "_cos": math.cos}
 
 
 def _py_src(e: Expr, slots: dict[str, str], consts: dict[str, float]) -> str:
@@ -971,6 +972,6 @@ def compile_exprs(exprs, names, consts: dict[str, float] | None = None):
     slots = {nm: f"_a[{k}]" for k, nm in enumerate(names)}
     bodies = [_py_src(e, slots, consts) for e in exprs]
     src = "def _f(_a):\n    return (" + ", ".join(bodies) + ("," if len(bodies) == 1 else "") + ")"
-    ns = {"_exp": math.exp, "_log": math.log, "_sin": math.sin, "_cos": math.cos}
+    ns = dict(_PY_NS)
     exec(compile(src, "<compiled-expr>", "exec"), ns)
     return ns["_f"]

@@ -5,20 +5,23 @@ given configuration reproduces bit-for-bit.  Estimates that pass 1e12 in
 magnitude truncate the run with a divergence event; evaluation failures
 (domain errors in the plant or observer expressions) truncate likewise.
 
-The nonlinear rollouts run on plain Python floats: the state is a list and
-the compiled expressions receive floats, so a division by zero or a log of
-a negative raises instead of producing inf/nan.  scipy is imported only for
+Each nonlinear rollout runs one generated Python function whose loop body
+is the four RK4 stages unrolled over scalar float locals, with the plant
+and observer expressions inlined, so a division by zero or a log of a
+negative raises instead of producing inf/nan.  scipy is imported only for
 the exact error dynamics of order two and above.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import EvalError, as_expr, compile_exprs
+from .expr import _PY_NS, EvalError, _py_src, as_expr, compile_exprs
 from .lie import observability_set, q_derivatives
 from .synthesis import AlphaCoeffs, LinearObserver, ObserverIO
 from .system import LinearSystemDef, SystemDef
@@ -74,52 +77,76 @@ def compile_checked(exprs, names, consts):
     return call
 
 
-def _rk4_loop(rhs, s0, dt: float, n_steps: int, zhat_slot=None):
-    s = [float(v) for v in s0]
-    rows = [s]
-    event = None
-    h2, h6 = 0.5 * dt, dt / 6.0
-    for _ in range(n_steps):
-        try:
-            k1 = rhs(s)
-            k2 = rhs([a + h2 * b for a, b in zip(s, k1)])
-            k3 = rhs([a + h2 * b for a, b in zip(s, k2)])
-            k4 = rhs([a + dt * b for a, b in zip(s, k3)])
-        except EvalError:
-            event = "evaluation-failure"
-            break
-        s = [
-            a + h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-            for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)
-        ]
-        if not all(map(math.isfinite, s)):
-            event = "divergence"
-            break
-        rows.append(s)
-        if zhat_slot is not None and abs(s[zhat_slot]) > DIVERGENCE_LIMIT:
-            event = "divergence"
-            break
-    return np.array(rows), event
+def _rk4_kernel(aux, derivs, s0, dt: float, n_steps: int, zhat_slot=None):
+    """Fixed-step RK4 through one generated function.
+
+    The right-hand side is source over the stage state u0..u<m-1>: the `aux`
+    statements run first, then `derivs` gives one expression per state
+    entry.  The four stages are unrolled over scalar locals in the operation
+    order of a list-based loop: stage states s + (dt/2)*k and s + dt*k, then
+    s + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4).  A domain error of the
+    right-hand side ends the run as "evaluation-failure"; a non-finite state
+    ends it as "divergence" before it is recorded, as does a recorded
+    |s[zhat_slot]| above DIVERGENCE_LIMIT.  Returns (rows, event), one row
+    per recorded step.
+    """
+    m = len(derivs)
+    s = [f"s{i}" for i in range(m)]
+    stages = (
+        s,
+        [f"s{i} + h2*k1_{i}" for i in range(m)],
+        [f"s{i} + h2*k2_{i}" for i in range(m)],
+        [f"s{i} + dt*k3_{i}" for i in range(m)],
+    )
+    body = [f"{', '.join(s)}, = start", "append = rows.append", "for _ in range(n_steps):", "    try:"]
+    for j, inputs in enumerate(stages, 1):
+        body += [f"        u{i} = {e}" for i, e in enumerate(inputs)]
+        body += [f"        {line}" for line in aux]
+        body += [f"        k{j}_{i} = {e}" for i, e in enumerate(derivs)]
+    body += ["    except _DOMAIN_ERRORS:", "        return 'evaluation-failure'"]
+    body += [f"    s{i} = s{i} + h6*(((k1_{i} + 2.0*k2_{i}) + 2.0*k3_{i}) + k4_{i})" for i in range(m)]
+    body += [f"    if not ({' and '.join(f'isfinite({x})' for x in s)}):", "        return 'divergence'"]
+    body += [f"    append([{', '.join(s)}])"]
+    if zhat_slot is not None:
+        body += [f"    if abs(s{zhat_slot}) > {DIVERGENCE_LIMIT!r}:", "        return 'divergence'"]
+    src = "def _run(start, rows, n_steps, h2, dt, h6, isfinite):\n" + "\n".join(f"    {ln}" for ln in body)
+    ns = {**_PY_NS, "_DOMAIN_ERRORS": _DOMAIN_ERRORS}
+    exec(compile(src, "<rk4-kernel>", "exec"), ns)
+    start = [float(v) for v in s0]
+    rows = [start]
+    event = ns["_run"](start, rows, n_steps, 0.5 * dt, dt, dt / 6.0, math.isfinite)
+    return rows, event
 
 
-def _meta(dt, t_final, event, n_recorded, extra=None) -> dict:
-    meta = {
-        "integrator": "rk4",
-        "dt": dt,
-        "t_final": t_final,
-        "event": event,
-        "n_recorded": n_recorded,
-    }
-    if extra:
-        meta.update(extra)
-    return meta
+def _slots(names, prefix: str, offset: int = 0) -> dict:
+    return {nm: f"{prefix}{offset + k}" for k, nm in enumerate(names)}
 
 
-def _fill_outputs(states, n, p, h_fn, q_fn, zhat_fn=None):
+def _rollout(sys: SystemDef, aux, derivs, s0, dt, n_steps, zhat_slot=None, zhat_fn=None):
+    """Kernel rollout of a state that starts with the plant's, with its
+    outputs; a row whose outputs fail to evaluate truncates the trace."""
+    h_fn = compile_checked(sys.h, sys.state_names, sys.params)
+    q_fn = compile_checked((sys.q,), sys.state_names, sys.params)
+    rows, event = _rk4_kernel(aux, derivs, s0, dt, n_steps, zhat_slot)
+    y, z, zh, cut = _fill_outputs(rows, sys.n, sys.p, h_fn, q_fn, zhat_fn)
+    states = np.array(rows)
+    if cut is not None:
+        states = states[:cut]
+        event = event or "evaluation-failure"
+    return states, y, z, zh, event
+
+
+def _trace(dt, t_final, event, x, y, z, zhat, err, **extra) -> SimTrace:
+    meta = {"integrator": "rk4", "dt": dt, "t_final": t_final, "event": event}
+    meta.update(n_recorded=x.shape[0], **extra)
+    return SimTrace(t=np.arange(x.shape[0]) * dt, x=x, y=y, z=z, zhat=zhat, err=err, meta=meta)
+
+
+def _fill_outputs(rows, n, p, h_fn, q_fn, zhat_fn=None):
     """Evaluate outputs row by row; a failing row truncates the trace."""
     y, z, zh = [], [], []
     cut = None
-    for row in states.tolist():
+    for row in rows:
         x = row[:n]
         try:
             yk = h_fn(x)
@@ -140,21 +167,10 @@ def integrate_plant(sys: SystemDef, x0, t_final: float, dt: float = 1e-3) -> Sim
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.n,):
         raise SimError(f"x0 must have {sys.n} entries")
-    f_fn = compile_checked(sys.f, sys.state_names, sys.params)
-    h_fn = compile_checked(sys.h, sys.state_names, sys.params)
-    q_fn = compile_checked((sys.q,), sys.state_names, sys.params)
-
-    states, event = _rk4_loop(f_fn, x0, dt, n_steps)
-    y, z, zh, cut = _fill_outputs(states, sys.n, sys.p, h_fn, q_fn)
-    if cut is not None:
-        states = states[:cut]
-        event = event or "evaluation-failure"
-    t = np.arange(states.shape[0]) * dt
-    err = np.full(states.shape[0], np.nan)
-    return SimTrace(
-        t=t, x=states, y=y, z=z, zhat=zh, err=err,
-        meta=_meta(dt, t_final, event, states.shape[0]),
-    )
+    xs = _slots(sys.state_names, "u")
+    f_src = [_py_src(e, xs, sys.params) for e in sys.f]
+    states, y, z, zh, event = _rollout(sys, (), f_src, x0, dt, n_steps)
+    return _trace(dt, t_final, event, states, y, z, zh, np.full(states.shape[0], np.nan))
 
 
 def chain_init_exact(sys: SystemDef, x0, v: int) -> np.ndarray:
@@ -191,39 +207,20 @@ def simulate_coupled(
         raise SimError(f"chain0 must have v={v} entries")
 
     wmap = observability_set(sys, v + 1).derivative_map()
-    wnames = [f"w{i}_{j}" for i, j in wmap]
-    wexprs = list(wmap.values())
-
-    f_fn = compile_checked(sys.f, sys.state_names, sys.params)
-    w_fn = compile_checked(wexprs, sys.state_names, sys.params)
-    T_fn = compile_checked((obs.T,), wnames, sys.params)
-    h_fn = compile_checked(sys.h, sys.state_names, sys.params)
-    q_fn = compile_checked((sys.q,), sys.state_names, sys.params)
-
+    # the chain entry c<k> is the stage local u<n+k>; w<i>_<j> is w<m>
     n = sys.n
-    a = obs.alphas.alphas
-
-    def rhs(s):
-        x = s[:n]
-        c = s[n:]
-        top = T_fn(w_fn(x))[0]
-        for k in range(1, v + 1):
-            top -= a[k - 1] * c[v - k]
-        return [*f_fn(x), *c[1:], top]
-
+    xs = _slots(sys.state_names, "u")
+    aux = [f"w{m} = {_py_src(e, xs, sys.params)}" for m, e in enumerate(wmap.values())]
+    ws = _slots([f"w{i}_{j}" for i, j in wmap], "w")
+    aux.append(f"top = {_py_src(obs.T, ws, sys.params)}")
+    aux += [f"top -= ({a!r}) * u{n + v - k}" for k, a in enumerate(obs.alphas.alphas, 1)]
+    derivs = [_py_src(e, xs, sys.params) for e in sys.f]
+    derivs += [f"u{n + k}" for k in range(1, v)] + ["top"]
     s0 = np.concatenate((x0, chain0))
-    states, event = _rk4_loop(rhs, s0, dt, n_steps, zhat_slot=n)
-    y, z, zh, cut = _fill_outputs(
-        states, n, sys.p, h_fn, q_fn, zhat_fn=lambda s, yk: s[n]
+    states, y, z, zh, event = _rollout(
+        sys, aux, derivs, s0, dt, n_steps, zhat_slot=n, zhat_fn=lambda s, yk: s[n]
     )
-    if cut is not None:
-        states = states[:cut]
-        event = event or "evaluation-failure"
-    t = np.arange(states.shape[0]) * dt
-    return SimTrace(
-        t=t, x=states[:, :n], y=y, z=z, zhat=zh, err=zh - z,
-        meta=_meta(dt, t_final, event, states.shape[0], {"v": v, "chain0": chain0.tolist()}),
-    )
+    return _trace(dt, t_final, event, states[:, :n], y, z, zh, zh - z, v=v, chain0=chain0.tolist())
 
 
 def simulate_custom_observer(
@@ -252,37 +249,24 @@ def simulate_custom_observer(
 
     xi_names = [f"xi{i+1}" for i in range(m)]
     y_names = [f"y{j+1}" for j in range(sys.p)]
-    f_fn = compile_checked(sys.f, sys.state_names, sys.params)
-    h_fn = compile_checked(sys.h, sys.state_names, sys.params)
-    q_fn = compile_checked((sys.q,), sys.state_names, sys.params)
-    rhs_fn = compile_checked(tuple(as_expr(e) for e in xi_rhs), xi_names + y_names, sys.params)
     zhat_fn = compile_checked((as_expr(zhat_expr),), xi_names + y_names, sys.params)
 
+    # xi<k+1> is the stage local u<n+k>; y<j+1> is y<j>
     n = sys.n
-
-    def rhs(s):
-        x = s[:n]
-        return [*f_fn(x), *rhs_fn([*s[n:], *h_fn(x)])]
-
+    xs = _slots(sys.state_names, "u")
+    obs_slots = {**_slots(xi_names, "u", n), **_slots(y_names, "y")}
+    aux = [f"y{j} = {_py_src(e, xs, sys.params)}" for j, e in enumerate(sys.h)]
+    derivs = [_py_src(e, xs, sys.params) for e in sys.f]
+    derivs += [_py_src(as_expr(e), obs_slots, sys.params) for e in xi_rhs]
     s0 = np.concatenate((x0, xi0))
-    states, event = _rk4_loop(rhs, s0, dt, n_steps)
-
-    def zhat_of(srow, yrow):
-        return zhat_fn([*srow[n:], *yrow])[0]
-
-    y, z, zh, cut = _fill_outputs(states, n, sys.p, h_fn, q_fn, zhat_fn=zhat_of)
-    if cut is not None:
-        states = states[:cut]
-        event = event or "evaluation-failure"
+    states, y, z, zh, event = _rollout(
+        sys, aux, derivs, s0, dt, n_steps, zhat_fn=lambda s, yk: zhat_fn([*s[n:], *yk])[0]
+    )
     if event is None and zh.size and np.max(np.abs(zh)) > DIVERGENCE_LIMIT:
         keep = int(np.argmax(np.abs(zh) > DIVERGENCE_LIMIT)) + 1
         states, y, z, zh = states[:keep], y[:keep], z[:keep], zh[:keep]
         event = "divergence"
-    t = np.arange(states.shape[0]) * dt
-    return SimTrace(
-        t=t, x=states[:, :n], y=y, z=z, zhat=zh, err=zh - z,
-        meta=_meta(dt, t_final, event, states.shape[0], {"observer_states": m}),
-    )
+    return _trace(dt, t_final, event, states[:, :n], y, z, zh, zh - z, observer_states=m)
 
 
 def simulate_linear_observer(
@@ -315,26 +299,23 @@ def simulate_linear_observer(
     )
     states = np.empty((n_steps + 1, n + v))
     states[0] = np.concatenate((x0, xi0))
-    event = None
-    last = n_steps
     zh_row = np.concatenate(((lobs.D @ lsys.H)[0], lobs.C[0]))
-    for k in range(n_steps):
-        states[k + 1] = P @ states[k]
-        if not np.all(np.isfinite(states[k + 1])) or abs(
-            zh_row @ states[k + 1]
-        ) > DIVERGENCE_LIMIT:
-            event = "divergence"
-            last = k + 1 if np.all(np.isfinite(states[k + 1])) else k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            np.matmul(P, states[k], out=states[k + 1])
+        finite = np.isfinite(states).all(axis=1)
+        # the batched products may round apart from the per-row test below by
+        # at most `slack`, so every row that could pass the limit is rechecked
+        slack = (np.abs(states) @ np.abs(zh_row)) * (4 * (n + v) * np.finfo(float).eps)
+        near = np.abs(states @ zh_row) + slack > DIVERGENCE_LIMIT
+    event, last = None, n_steps
+    for r in np.flatnonzero(~finite[1:] | near[1:]) + 1:
+        if not finite[r] or abs(zh_row @ states[r]) > DIVERGENCE_LIMIT:
+            event, last = "divergence", (r if finite[r] else r - 1)
             break
     states = states[: last + 1]
-    t = np.arange(states.shape[0]) * dt
-    y = states[:, :n] @ lsys.H.T
-    z = states[:, :n] @ lsys.q[0]
-    zh = states @ zh_row
-    return SimTrace(
-        t=t, x=states[:, :n], y=y, z=z, zhat=zh, err=zh - z,
-        meta=_meta(dt, t_final, event, states.shape[0], {"v": v}),
-    )
+    z, zh = states[:, :n] @ lsys.q[0], states @ zh_row
+    return _trace(dt, t_final, event, states[:, :n], states[:, :n] @ lsys.H.T, z, zh, zh - z, v=v)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +370,11 @@ def exact_error_grid(alphas: AlphaCoeffs, e_init, t_grid) -> np.ndarray:
     C = _error_companion(alphas)
     u = _expm(C * t_grid[0]) @ e_init if t_grid[0] != 0 else e_init.copy()
     Phi = _expm(C * dts[0])
+    if alphas.v == 1:  # the products of `Phi @ u` below, on floats
+        steps = itertools.repeat(float(Phi[0, 0]), t_grid.size - 1)
+        return np.fromiter(
+            itertools.accumulate(steps, operator.mul, initial=float(u[0])), float, t_grid.size
+        )
     out = np.empty(t_grid.size)
     out[0] = u[0]
     for k in range(1, t_grid.size):

@@ -372,6 +372,10 @@ def load_observer(path):
         raw = json.load(fh)
     if "T" not in raw and "A" not in raw:
         raise SynthesisError(f"{path}: not an observer file (no 'T' or 'A' key)")
+    required = ("v", "alphas") if "T" in raw else ("v", "alphas", "betas")
+    missing = [k for k in required if k not in raw]
+    if missing:
+        raise SynthesisError(f"{path}: observer file lacks {', '.join(map(repr, missing))}")
     alphas = make_alphas(raw["alphas"])
     if int(raw["v"]) != alphas.v:
         raise SynthesisError(

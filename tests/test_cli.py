@@ -396,6 +396,23 @@ LIN_X0 = ["--linear", str(data_path("lin_double_integrator.json")), "--x0=0,1"]
 
 
 @pytest.mark.parametrize(
+    "observer,plant,missing",
+    [
+        ({"T": "w0_1"}, BATCH_X0, "'v', 'alphas'"),
+        ({"alphas": [2.0], "T": "w1_1 + 2*w0_1"}, BATCH_X0, "'v'"),
+        ({"v": 1, "alphas": [2.0], "A": [[-2.0]]}, LIN_X0, "'betas'"),
+    ],
+    ids=["T-only", "T-form-no-v", "realized-no-betas"],
+)
+def test_simulate_incomplete_observer_file_exit_2(tmp_path, capsys, observer, plant, missing):
+    path = tmp_path / "observer.json"
+    path.write_text(json.dumps(observer))
+    rc = main(["simulate", *plant, "--observer", str(path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert f"lacks {missing}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "observer,plant",
     [
         ({"v": 1, "alphas": [3, 2], "T": "w1_1 + 3*w0_1"}, BATCH_X0),
@@ -439,13 +456,23 @@ def test_simulate_failure_at_t0_writes_empty_trace_exit_4(tmp_path, capsys, load
         ["simulate", str(sys_path), "--observer", str(obs), "--x0=-1,1", "--out", str(out)]
     )
     assert rc == 4
-    assert "evaluation failure" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "evaluation failure" in printed
+    assert "max |error - exact| = none" in printed
+    assert "invariance drift along trajectory: none" in printed
     assert (out / "trace.csv").read_text() == "t,x1,x2,y1,y2,z,zhat,err\n"
     summary = _read(out / "summary.json")
     jsonschema.validate(summary, load_schema("simulation.schema.json"))
     assert summary["n_recorded"] == 0
     assert summary["event"] == "evaluation-failure"
     assert summary["max_abs_error"] is None
+    assert summary["max_exact_mismatch"] is None
+    assert summary["max_invariance_drift"] is None
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    json.loads((out / "summary.json").read_text(), parse_constant=reject)
 
 
 # ---------------------------------------------------------------------------

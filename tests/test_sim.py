@@ -143,11 +143,12 @@ def test_compile_checked_reports_domain_errors_only():
 
 
 def test_programming_error_in_rollout_propagates():
-    def broken_rhs(s):
-        raise ValueError("shape bug")
-
-    with pytest.raises(ValueError, match="shape bug"):
-        sim._rk4_loop(broken_rhs, [1.0], 1e-2, 10)
+    # a start of the wrong length fails in the unpacking, outside the catch
+    # of domain errors, and so does a non-domain error inside the stages
+    with pytest.raises(ValueError, match="unpack"):
+        sim._rk4_kernel((), ["-u0", "u0"], [1.0], 1e-2, 10)
+    with pytest.raises(TypeError):
+        sim._rk4_kernel((), ["u0 + None"], [1.0], 1e-2, 10)
 
     def ident(x):
         return tuple(x)
@@ -559,3 +560,215 @@ def test_exact_error_grid_first_order_matches_scipy_expm(t0):
         u = Phi @ u
         ref[k] = u[0]
     assert _same_bits(exact_error_grid(al, e0, t), ref)
+
+
+# ---------------------------------------------------------------------------
+# the generated RK4 kernel against the list-based loop and per-rollout
+# right-hand-side closures it replaced, kept here as the oracle: the
+# operation order is unchanged, so states, event and row count must agree
+
+
+def _list_rk4(rhs, s0, dt, n_steps, zhat_slot=None):
+    s = [float(v) for v in s0]
+    rows = [s]
+    event = None
+    h2, h6 = 0.5 * dt, dt / 6.0
+    for _ in range(n_steps):
+        try:
+            k1 = rhs(s)
+            k2 = rhs([a + h2 * b for a, b in zip(s, k1)])
+            k3 = rhs([a + h2 * b for a, b in zip(s, k2)])
+            k4 = rhs([a + dt * b for a, b in zip(s, k3)])
+        except EvalError:
+            event = "evaluation-failure"
+            break
+        s = [
+            a + h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+            for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)
+        ]
+        if not all(map(math.isfinite, s)):
+            event = "divergence"
+            break
+        rows.append(s)
+        if zhat_slot is not None and abs(s[zhat_slot]) > DIVERGENCE_LIMIT:
+            event = "divergence"
+            break
+    return np.array(rows), event
+
+
+def _list_coupled_rhs(sys_, obs):
+    v, n = obs.v, sys_.n
+    wmap = observability_set(sys_, v + 1).derivative_map()
+    f_fn = compile_checked(sys_.f, sys_.state_names, sys_.params)
+    w_fn = compile_checked(list(wmap.values()), sys_.state_names, sys_.params)
+    T_fn = compile_checked((obs.T,), [f"w{i}_{j}" for i, j in wmap], sys_.params)
+    a = obs.alphas.alphas
+
+    def rhs(s):
+        x = s[:n]
+        c = s[n:]
+        top = T_fn(w_fn(x))[0]
+        for k in range(1, v + 1):
+            top -= a[k - 1] * c[v - k]
+        return [*f_fn(x), *c[1:], top]
+
+    return rhs
+
+
+def _list_custom_rhs(sys_, xi_rhs):
+    n = sys_.n
+    names = [f"xi{i+1}" for i in range(len(xi_rhs))] + [f"y{j+1}" for j in range(sys_.p)]
+    f_fn = compile_checked(sys_.f, sys_.state_names, sys_.params)
+    h_fn = compile_checked(sys_.h, sys_.state_names, sys_.params)
+    rhs_fn = compile_checked(tuple(as_expr(e) for e in xi_rhs), names, sys_.params)
+
+    def rhs(s):
+        x = s[:n]
+        return [*f_fn(x), *rhs_fn([*s[n:], *h_fn(x)])]
+
+    return rhs
+
+
+def _kernel_case(case):
+    """(rollout, old right-hand side, start, dt, steps, zhat slot, event)."""
+    if case == "division-by-zero":
+        # x reaches exactly 0 at a stage of step 8, where y' = 1/x
+        sys_ = SystemDef(
+            state_names=("x", "y"), params={}, f=(parse("-1"), parse("1/x")),
+            h=(parse("y"),), q=parse("x"), box={"x": (0.1, 1.0), "y": (-1.0, 1.0)},
+        )
+        s0 = [1.0, 0.0]
+        run = lambda: integrate_plant(sys_, np.array(s0), 2.0, dt=0.125)
+        rhs = compile_checked(sys_.f, sys_.state_names, sys_.params)
+        return run, rhs, s0, 0.125, 16, None, "evaluation-failure"
+    if case == "custom-observer":
+        sys_, _ = _batch_setup(-2.0)
+        xi_rhs = ["-2*xi1 - (1 - 2/k1)*(-2*y1 + k2*y1^2)"]
+        run = lambda: simulate_custom_observer(sys_, xi_rhs, "xi1", X0, [-0.2], 2.0, dt=1e-3)
+        return run, _list_custom_rhs(sys_, xi_rhs), [*X0, -0.2], 1e-3, 2000, None, None
+    t_final, dt, event = 2.0, 1e-3, None
+    if case == "batch":
+        (sys_, obs), x0, off = _batch_setup(-2.0), X0, [0.3]
+    elif case == "cstr":
+        (sys_, obs), x0, off = _cstr_setup(-1.0), np.array([1.0, 1.0, 0.9]), [-0.2]
+    elif case == "triple-integrator":
+        (sys_, obs), x0, off = _triple_integrator_setup(-1.5), np.array([0.3, -0.4, 0.5]), [0.2, -0.1]
+    else:  # batch-divergent: pole +3
+        sys_, rep = builtin_batch_reactor(), load_psi(data_path("psi_batch.json"))
+        verify_psi(sys_, rep)
+        obs = synthesize_nonlinear(rep, make_alphas([-3.0]), allow_unstable=True)
+        (x0, off), t_final, dt, event = (X0, [0.1]), 20.0, 1e-2, "divergence"
+    chain0 = chain_init_exact(sys_, x0, obs.v) + np.array(off)
+    run = lambda: simulate_coupled(sys_, obs, x0, chain0, t_final, dt=dt)
+    s0 = [*x0, *chain0]
+    return run, _list_coupled_rhs(sys_, obs), s0, dt, int(round(t_final / dt)), sys_.n, event
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["batch", "cstr", "triple-integrator", "batch-divergent", "division-by-zero", "custom-observer"],
+)
+def test_kernel_matches_list_rk4_loop(monkeypatch, case):
+    run, rhs, s0, dt, n_steps, zhat_slot, event = _kernel_case(case)
+    seen = []
+    kernel = sim._rk4_kernel
+
+    def spy(*args, **kwargs):
+        seen.append(kernel(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(sim, "_rk4_kernel", spy)
+    tr = run()
+    (rows, got_event), = seen
+    states = np.array(rows)
+    ref, ref_event = _list_rk4(rhs, s0, dt, n_steps, zhat_slot)
+    assert got_event == ref_event == event == tr.meta["event"]
+    assert states.shape[0] == ref.shape[0] == tr.t.size
+    assert 1 < ref.shape[0] <= n_steps + 1
+    assert _same_bits(states, ref)
+    assert _same_bits(tr.x, ref[:, : tr.x.shape[1]])
+
+
+# ---------------------------------------------------------------------------
+# the linear simulator against its step-by-step loop, which tested every new
+# row before computing the next
+
+
+def _stepwise_linear(lsys, lobs, x0, xi0, t_final, dt):
+    n_steps = int(round(t_final / dt))
+    n, v = lsys.n, lobs.v
+    Acl = np.zeros((n + v, n + v))
+    Acl[:n, :n] = lsys.F
+    Acl[n:, :n] = lobs.B @ lsys.H
+    Acl[n:, n:] = lobs.A
+    hA = dt * Acl
+    P = np.eye(n + v) + hA @ (
+        np.eye(n + v) + hA @ (np.eye(n + v) / 2 + hA @ (np.eye(n + v) / 6 + hA / 24))
+    )
+    states = np.empty((n_steps + 1, n + v))
+    states[0] = np.concatenate((x0, xi0))
+    event = None
+    last = n_steps
+    zh_row = np.concatenate(((lobs.D @ lsys.H)[0], lobs.C[0]))
+    for k in range(n_steps):
+        states[k + 1] = P @ states[k]
+        if not np.all(np.isfinite(states[k + 1])) or abs(
+            zh_row @ states[k + 1]
+        ) > DIVERGENCE_LIMIT:
+            event = "divergence"
+            last = k + 1 if np.all(np.isfinite(states[k + 1])) else k
+            break
+    states = states[: last + 1]
+    y = states[:, :n] @ lsys.H.T
+    z = states[:, :n] @ lsys.q[0]
+    zh = states @ zh_row
+    return states, y, z, zh, event
+
+
+@pytest.mark.parametrize(
+    "pole, scale, t_final, event, rows",
+    [
+        (-3.0, 1.0, 10.0, None, 10001),
+        (3.0, 1.0, 12.0, "divergence", 9613),  # |zhat| passes the limit
+        (1e62, 1e30, 1.0, "divergence", 1),  # the first step overflows
+    ],
+    ids=["stable", "unstable-pole", "overflow"],
+)
+def test_linear_observer_matches_stepwise_loop(pole, scale, t_final, event, rows):
+    lsys = builtin_double_integrator()
+    lobs = design_linear_observer(lsys, [pole], allow_unstable=True)
+    x0 = np.array([0.3, -0.2]) * scale
+    xi0 = xi_from_chain(lobs, np.array([0.1 * scale]), np.atleast_2d(lsys.H @ x0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tr = simulate_linear_observer(lsys, lobs, x0, xi0, t_final, dt=1e-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        states, y, z, zh, ref_event = _stepwise_linear(lsys, lobs, x0, xi0, t_final, 1e-3)
+    assert tr.meta["event"] == ref_event == event
+    assert tr.t.size == states.shape[0] == rows
+    assert _same_bits(tr.x, states[:, : lsys.n])
+    assert _same_bits(tr.y, y) and _same_bits(tr.z, z) and _same_bits(tr.zhat, zh)
+    assert _same_bits(tr.err, zh - z)
+
+
+# ---------------------------------------------------------------------------
+# the first-order exact error grid against the matrix loop it replaced
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.5])
+@pytest.mark.parametrize("e0", [0.3, -1.0, 1e-300])
+@pytest.mark.parametrize("pole", [-0.37, -1.0, -1.7, -2.0])
+def test_exact_error_grid_first_order_matches_matrix_loop(pole, e0, t0):
+    al = poles_to_alphas([pole])
+    t = t0 + np.arange(20001) * 1e-3
+    C = np.array([[-al.alphas[0]]])
+    u = np.exp(C * t[0]) @ np.array([e0]) if t[0] != 0 else np.array([e0])
+    Phi = np.exp(C * np.diff(t)[0])
+    ref = np.empty(t.size)
+    ref[0] = u[0]
+    for k in range(1, t.size):
+        u = Phi @ u
+        ref[k] = u[0]
+    assert _same_bits(exact_error_grid(al, [e0], t), ref)
+    if e0 == 1e-300 and pole <= -1.0:  # the grid runs into the subnormal range
+        assert 0.0 < abs(ref[-1]) < np.finfo(float).tiny
