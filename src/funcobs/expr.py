@@ -936,7 +936,48 @@ _PYFN = {"exp": "_exp", "ln": "_log", "sin": "_sin", "cos": "_cos"}
 _PY_NS = {"_exp": math.exp, "_log": math.log, "_sin": math.sin, "_cos": math.cos}
 
 
-def _py_src(e: Expr, slots: dict[str, str], consts: dict[str, float]) -> str:
+def _py_args(e: Expr) -> tuple[Expr, ...]:
+    if isinstance(e, (Neg, Call)):
+        return (e.arg,)
+    if isinstance(e, Sum):
+        return e.terms
+    if isinstance(e, Product):
+        return e.factors
+    if isinstance(e, Quot):
+        return (e.num, e.den)
+    if isinstance(e, Pow):
+        return (e.base,)
+    raise ExprError(f"cannot compile {e!r}")
+
+
+def _py_join(e: Expr, parts: list[str]) -> str:
+    """Source of the compound node e over the sources of its operands."""
+    if isinstance(e, Neg):
+        return f"(-{parts[0]})"
+    if isinstance(e, Sum):
+        return "(" + "+".join(parts) + ")"
+    if isinstance(e, Product):
+        return "(" + "*".join(parts) + ")"
+    if isinstance(e, Quot):
+        return f"({parts[0]}/{parts[1]})"
+    if isinstance(e, Pow):
+        return f"({parts[0]}**({e.exponent}))"
+    return f"{_PYFN[e.fn]}({parts[0]})"
+
+
+def _py_resolve(e: Expr, slots: dict):
+    """Follow symbols whose slot is an (expression, slots) pair."""
+    while isinstance(e, (Sym, WVar)) and isinstance(slots.get(e.name), tuple):
+        e, slots = slots[e.name]
+    return e, slots
+
+
+def _py_src(e: Expr, slots: dict, consts: dict[str, float], memo: dict) -> str:
+    """Python source of e.  A slot maps a symbol to its source text, or to an
+    (expression, slots) pair that is expanded in its place; other symbols
+    are looked up in `consts` and inlined as literals.  `memo` caches the
+    source of compound nodes by node and slots identity."""
+    e, slots = _py_resolve(e, slots)
     if isinstance(e, Const):
         return f"({float(e.value)!r})"
     if isinstance(e, (Sym, WVar)):
@@ -946,19 +987,59 @@ def _py_src(e: Expr, slots: dict[str, str], consts: dict[str, float]) -> str:
         if nm in consts:
             return f"({float(consts[nm])!r})"
         raise ExprError(f"unbound symbol '{nm}' at compile time")
-    if isinstance(e, Neg):
-        return f"(-{_py_src(e.arg, slots, consts)})"
-    if isinstance(e, Sum):
-        return "(" + "+".join(_py_src(t, slots, consts) for t in e.terms) + ")"
-    if isinstance(e, Product):
-        return "(" + "*".join(_py_src(f, slots, consts) for f in e.factors) + ")"
-    if isinstance(e, Quot):
-        return f"({_py_src(e.num, slots, consts)}/{_py_src(e.den, slots, consts)})"
-    if isinstance(e, Pow):
-        return f"({_py_src(e.base, slots, consts)}**({e.exponent}))"
-    if isinstance(e, Call):
-        return f"{_PYFN[e.fn]}({_py_src(e.arg, slots, consts)})"
-    raise ExprError(f"cannot compile {e!r}")
+    key = (id(e), id(slots))
+    if key not in memo:
+        memo[key] = _py_join(e, [_py_src(a, slots, consts, memo) for a in _py_args(e)])
+    return memo[key]
+
+
+def _py_block(roots, consts: dict[str, float]):
+    """Straight-line source for several expressions with shared subtrees
+    computed once.
+
+    A root is an (expression, slots) pair as for `_py_src`, or source text
+    passed through.  Returns (lines, srcs): `lines` assign each compound
+    subtree whose expanded source occurs more than once to a local t<k>,
+    operands first, and srcs[i] is the source of roots[i] over
+    those locals.  A local holds the same operations on the same operands
+    as the text it stands for, so every value is bit for bit that of the
+    expanded source; only the order in which domain errors can surface
+    changes.
+    """
+    memo: dict = {}
+    uses: dict[str, int] = {}
+
+    def count(e, slots):
+        e, slots = _py_resolve(e, slots)
+        if isinstance(e, (Const, Sym, WVar)):
+            return
+        key = _py_src(e, slots, consts, memo)
+        uses[key] = uses.get(key, 0) + 1
+        if uses[key] == 1:  # operands of a repeat are shared with it
+            for a in _py_args(e):
+                count(a, slots)
+
+    names: dict[str, str] = {}
+    lines: list[str] = []
+
+    def emit(e, slots) -> str:
+        e, slots = _py_resolve(e, slots)
+        if isinstance(e, (Const, Sym, WVar)):
+            return _py_src(e, slots, consts, memo)
+        key = _py_src(e, slots, consts, memo)
+        if key in names:
+            return names[key]
+        src = _py_join(e, [emit(a, slots) for a in _py_args(e)])
+        if uses[key] == 1:
+            return src
+        names[key] = f"t{len(names)}"
+        lines.append(f"{names[key]} = {src}")
+        return names[key]
+
+    for r in roots:
+        if not isinstance(r, str):
+            count(*r)
+    return lines, [r if isinstance(r, str) else emit(*r) for r in roots]
 
 
 def compile_exprs(exprs, names, consts: dict[str, float] | None = None):
@@ -970,7 +1051,8 @@ def compile_exprs(exprs, names, consts: dict[str, float] | None = None):
     """
     consts = consts or {}
     slots = {nm: f"_a[{k}]" for k, nm in enumerate(names)}
-    bodies = [_py_src(e, slots, consts) for e in exprs]
+    memo: dict = {}
+    bodies = [_py_src(e, slots, consts, memo) for e in exprs]
     src = "def _f(_a):\n    return (" + ", ".join(bodies) + ("," if len(bodies) == 1 else "") + ")"
     ns = dict(_PY_NS)
     exec(compile(src, "<compiled-expr>", "exec"), ns)

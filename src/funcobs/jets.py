@@ -26,6 +26,9 @@ import numpy as np
 
 from .expr import Call, Const, Expr, ExprError, Neg, Pow, Product, Quot, Sum, Sym
 
+# Largest order whose factorials 0!..(order-1)! are all finite doubles.
+MAX_ORDER = 171
+
 
 def flow_derivatives(sys, exprs, order: int, pts) -> np.ndarray:
     """Derivatives of orders 0..order-1 along the flow of `sys`, with their
@@ -42,6 +45,8 @@ def flow_derivatives(sys, exprs, order: int, pts) -> np.ndarray:
         raise ValueError(f"expected sample points of shape (N, {n}), got {pts.shape}")
     if order < 1:
         raise ValueError("jets need order >= 1")
+    if order > MAX_ORDER:
+        raise ValueError(f"jets need order <= {MAX_ORDER}: {order - 1}! is not a finite double")
     N = pts.shape[0]
     params = {nm: np.float64(v) for nm, v in sys.params.items()}
     X = np.zeros((n, order, 1 + n, N))
@@ -56,7 +61,7 @@ def flow_derivatives(sys, exprs, order: int, pts) -> np.ndarray:
         env = dict(params)
         env.update(zip(sys.state_names, X))
         out = np.stack([_full(_eval(e, env), order, 1 + n, N) for e in exprs])
-        out *= np.array([math.factorial(k) for k in range(order)]).reshape(1, -1, 1, 1)
+        out *= np.array([float(math.factorial(k)) for k in range(order)]).reshape(1, -1, 1, 1)
     return out.transpose(3, 1, 0, 2)
 
 

@@ -29,7 +29,7 @@ from .expr import (
     substitute,
     to_text,
 )
-from .jets import flow_derivatives
+from .jets import MAX_ORDER, flow_derivatives
 from .lie import observability_set, q_derivatives
 from .system import SystemDef, system_equivalence
 
@@ -121,9 +121,13 @@ def _gradient_stacks(
     """
     if m < 1:
         raise ObservabilityError("derivative order m must be >= 1")
+    order = m if v is None else max(m, v + 1)
+    if order > MAX_ORDER:
+        raise ObservabilityError(
+            f"derivative order {order} exceeds {MAX_ORDER}: {order - 1}! is not a finite double"
+        )
     pts = sample_states(sys, n_samples, seed)
     exprs = sys.h if v is None else sys.h + (sys.q,)
-    order = m if v is None else max(m, v + 1)
     d = flow_derivatives(sys, exprs, order, pts)
     J = d[:, :m, : sys.p, 1:].reshape(len(pts), m * sys.p, sys.n)
     ok = np.isfinite(J).all(axis=(1, 2))

@@ -7,9 +7,12 @@ magnitude truncate the run with a divergence event; evaluation failures
 
 Each nonlinear rollout runs one generated Python function whose loop body
 is the four RK4 stages unrolled over scalar float locals, with the plant
-and observer expressions inlined, so a division by zero or a log of a
-negative raises instead of producing inf/nan.  scipy is imported only for
-the exact error dynamics of order two and above.
+and observer expressions inlined and each subexpression they share
+computed once per stage, so a division by zero or a log of a negative
+raises instead of producing inf/nan.  The same function evaluates the
+outputs, target and estimate of every recorded row, so one rule, applied
+row by row, ends a run.  scipy is imported only for the exact error
+dynamics of order two and above.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import _PY_NS, EvalError, _py_src, as_expr, compile_exprs
+from .expr import _PY_NS, EvalError, _py_block, as_expr, compile_exprs
 from .lie import observability_set, q_derivatives
 from .synthesis import AlphaCoeffs, LinearObserver, ObserverIO
 from .system import LinearSystemDef, SystemDef
@@ -77,63 +80,66 @@ def compile_checked(exprs, names, consts):
     return call
 
 
-def _rk4_kernel(aux, derivs, s0, dt: float, n_steps: int, zhat_slot=None):
-    """Fixed-step RK4 through one generated function.
+def _rk4_kernel(stage, record, s0, dt: float, n_steps: int, check=None):
+    """Fixed-step RK4 through one generated function that also records
+    each row's outputs.
 
-    The right-hand side is source over the stage state u0..u<m-1>: the `aux`
-    statements run first, then `derivs` gives one expression per state
-    entry.  The four stages are unrolled over scalar locals in the operation
-    order of a list-based loop: stage states s + (dt/2)*k and s + dt*k, then
-    s + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4).  A domain error of the
-    right-hand side ends the run as "evaluation-failure"; a non-finite state
-    ends it as "divergence" before it is recorded, as does a recorded
-    |s[zhat_slot]| above DIVERGENCE_LIMIT.  Returns (rows, event), one row
-    per recorded step.
+    stage(u) gives the right-hand side at the stage state held in the
+    locals u: (statements, one derivative source per state entry).
+    record(s) gives (statements, output sources) at the state held in s.
+    The four stages are unrolled over scalar locals in the operation order
+    of a list-based loop: stage states s + (dt/2)*k and s + dt*k, then
+    s + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4).  Each recorded row, row 0
+    included, is the state followed by its outputs.  A domain error of the
+    right-hand side or of a row's outputs ends the run as
+    "evaluation-failure", that row unrecorded; a non-finite state ends it
+    as "divergence" before it is recorded, as does a recorded output
+    `check` above DIVERGENCE_LIMIT in magnitude after it.  Returns
+    (table, event), one table row per recorded row.
     """
-    m = len(derivs)
+    m = len(s0)
     s = [f"s{i}" for i in range(m)]
-    stages = (
-        s,
-        [f"s{i} + h2*k1_{i}" for i in range(m)],
-        [f"s{i} + h2*k2_{i}" for i in range(m)],
-        [f"s{i} + dt*k3_{i}" for i in range(m)],
-    )
-    body = [f"{', '.join(s)}, = start", "append = rows.append", "for _ in range(n_steps):", "    try:"]
-    for j, inputs in enumerate(stages, 1):
-        body += [f"        u{i} = {e}" for i, e in enumerate(inputs)]
-        body += [f"        {line}" for line in aux]
+    u = [f"u{i}" for i in range(m)]
+    lines, outs = record(s)
+    r = [e if e.isidentifier() else f"r{k}" for k, e in enumerate(outs)]
+    lines += [f"{a} = {e}" for a, e in zip(r, outs) if a != e]
+    rec = ["try:", *(f"    {ln}" for ln in lines), "except _DOMAIN_ERRORS:", "    return 'evaluation-failure'"]
+    rec = (rec if lines else []) + [f"extend(({', '.join(s + r)}))"]
+    if check is not None:
+        rec += [f"if abs({r[check]}) > {DIVERGENCE_LIMIT!r}:", "    return 'divergence'"]
+    body = [f"{', '.join(s)}, = start", "extend = vals.extend", *rec, "for _ in range(n_steps):", "    try:"]
+    for j, (inputs, h) in enumerate(((s, None), (u, "h2"), (u, "h2"), (u, "dt")), 1):
+        if h:
+            body += [f"        u{i} = s{i} + {h}*k{j - 1}_{i}" for i in range(m)]
+        lines, derivs = stage(inputs)
+        body += [f"        {ln}" for ln in lines]
         body += [f"        k{j}_{i} = {e}" for i, e in enumerate(derivs)]
     body += ["    except _DOMAIN_ERRORS:", "        return 'evaluation-failure'"]
     body += [f"    s{i} = s{i} + h6*(((k1_{i} + 2.0*k2_{i}) + 2.0*k3_{i}) + k4_{i})" for i in range(m)]
     body += [f"    if not ({' and '.join(f'isfinite({x})' for x in s)}):", "        return 'divergence'"]
-    body += [f"    append([{', '.join(s)}])"]
-    if zhat_slot is not None:
-        body += [f"    if abs(s{zhat_slot}) > {DIVERGENCE_LIMIT!r}:", "        return 'divergence'"]
-    src = "def _run(start, rows, n_steps, h2, dt, h6, isfinite):\n" + "\n".join(f"    {ln}" for ln in body)
+    body += [f"    {ln}" for ln in rec]
+    src = "def _run(start, vals, n_steps, h2, dt, h6, isfinite):\n" + "\n".join(f"    {ln}" for ln in body)
     ns = {**_PY_NS, "_DOMAIN_ERRORS": _DOMAIN_ERRORS}
     exec(compile(src, "<rk4-kernel>", "exec"), ns)
-    start = [float(v) for v in s0]
-    rows = [start]
-    event = ns["_run"](start, rows, n_steps, 0.5 * dt, dt, dt / 6.0, math.isfinite)
-    return rows, event
+    vals = []
+    event = ns["_run"]([float(v) for v in s0], vals, n_steps, 0.5 * dt, dt, dt / 6.0, math.isfinite)
+    return np.fromiter(vals, float, len(vals)).reshape(-1, m + len(outs)), event
 
 
-def _slots(names, prefix: str, offset: int = 0) -> dict:
-    return {nm: f"{prefix}{offset + k}" for k, nm in enumerate(names)}
+def _rollout(sys: SystemDef, stage, s0, dt, n_steps, zhat=None):
+    """Kernel rollout of a state that starts with the plant's.  zhat(s),
+    when given, is the estimate at the row state s as a `_py_block` root;
+    it is recorded and checked against DIVERGENCE_LIMIT."""
 
+    def record(s):
+        slots = dict(zip(sys.state_names, s))
+        roots = [(e, slots) for e in (*sys.h, sys.q)]
+        return _py_block(roots + ([zhat(s)] if zhat else []), sys.params)
 
-def _rollout(sys: SystemDef, aux, derivs, s0, dt, n_steps, zhat_slot=None, zhat_fn=None):
-    """Kernel rollout of a state that starts with the plant's, with its
-    outputs; a row whose outputs fail to evaluate truncates the trace."""
-    h_fn = compile_checked(sys.h, sys.state_names, sys.params)
-    q_fn = compile_checked((sys.q,), sys.state_names, sys.params)
-    rows, event = _rk4_kernel(aux, derivs, s0, dt, n_steps, zhat_slot)
-    y, z, zh, cut = _fill_outputs(rows, sys.n, sys.p, h_fn, q_fn, zhat_fn)
-    states = np.array(rows)
-    if cut is not None:
-        states = states[:cut]
-        event = event or "evaluation-failure"
-    return states, y, z, zh, event
+    m, p = len(s0), sys.p
+    table, event = _rk4_kernel(stage, record, s0, dt, n_steps, p + 1 if zhat else None)
+    zh = table[:, m + p + 1] if zhat else np.full(table.shape[0], np.nan)
+    return table[:, : sys.n], table[:, m : m + p], table[:, m + p], zh, event
 
 
 def _trace(dt, t_final, event, x, y, z, zhat, err, **extra) -> SimTrace:
@@ -142,35 +148,19 @@ def _trace(dt, t_final, event, x, y, z, zhat, err, **extra) -> SimTrace:
     return SimTrace(t=np.arange(x.shape[0]) * dt, x=x, y=y, z=z, zhat=zhat, err=err, meta=meta)
 
 
-def _fill_outputs(rows, n, p, h_fn, q_fn, zhat_fn=None):
-    """Evaluate outputs row by row; a failing row truncates the trace."""
-    y, z, zh = [], [], []
-    cut = None
-    for row in rows:
-        x = row[:n]
-        try:
-            yk = h_fn(x)
-            zk = q_fn(x)[0]
-            zhk = math.nan if zhat_fn is None else zhat_fn(row, yk)
-        except EvalError:
-            cut = len(z)
-            break
-        y.append(yk)
-        z.append(zk)
-        zh.append(zhk)
-    return np.array(y, dtype=float).reshape(len(z), p), np.array(z), np.array(zh), cut
-
-
 def integrate_plant(sys: SystemDef, x0, t_final: float, dt: float = 1e-3) -> SimTrace:
     """Plant-only rollout recording states, outputs and the target."""
     n_steps = _steps(t_final, dt)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.n,):
         raise SimError(f"x0 must have {sys.n} entries")
-    xs = _slots(sys.state_names, "u")
-    f_src = [_py_src(e, xs, sys.params) for e in sys.f]
-    states, y, z, zh, event = _rollout(sys, (), f_src, x0, dt, n_steps)
-    return _trace(dt, t_final, event, states, y, z, zh, np.full(states.shape[0], np.nan))
+
+    def stage(u):
+        slots = dict(zip(sys.state_names, u))
+        return _py_block([(e, slots) for e in sys.f], sys.params)
+
+    x, y, z, zh, event = _rollout(sys, stage, x0, dt, n_steps)
+    return _trace(dt, t_final, event, x, y, z, zh, np.full(x.shape[0], np.nan))
 
 
 def chain_init_exact(sys: SystemDef, x0, v: int) -> np.ndarray:
@@ -207,20 +197,19 @@ def simulate_coupled(
         raise SimError(f"chain0 must have v={v} entries")
 
     wmap = observability_set(sys, v + 1).derivative_map()
-    # the chain entry c<k> is the stage local u<n+k>; w<i>_<j> is w<m>
     n = sys.n
-    xs = _slots(sys.state_names, "u")
-    aux = [f"w{m} = {_py_src(e, xs, sys.params)}" for m, e in enumerate(wmap.values())]
-    ws = _slots([f"w{i}_{j}" for i, j in wmap], "w")
-    aux.append(f"top = {_py_src(obs.T, ws, sys.params)}")
-    aux += [f"top -= ({a!r}) * u{n + v - k}" for k, a in enumerate(obs.alphas.alphas, 1)]
-    derivs = [_py_src(e, xs, sys.params) for e in sys.f]
-    derivs += [f"u{n + k}" for k in range(1, v)] + ["top"]
+
+    def stage(u):
+        # the chain entry c<k> is u[n+k]; T reads each w<i>_<j> in place
+        xs = dict(zip(sys.state_names, u))
+        ws = {f"w{i}_{j}": (e, xs) for (i, j), e in wmap.items()}
+        lines, (*f, T) = _py_block([(e, xs) for e in sys.f] + [(obs.T, ws)], sys.params)
+        feedback = "".join(f" - ({a!r})*{u[n + v - k]}" for k, a in enumerate(obs.alphas.alphas, 1))
+        return lines, f + u[n + 1 :] + [f"({T}{feedback})"]
+
     s0 = np.concatenate((x0, chain0))
-    states, y, z, zh, event = _rollout(
-        sys, aux, derivs, s0, dt, n_steps, zhat_slot=n, zhat_fn=lambda s, yk: s[n]
-    )
-    return _trace(dt, t_final, event, states[:, :n], y, z, zh, zh - z, v=v, chain0=chain0.tolist())
+    x, y, z, zh, event = _rollout(sys, stage, s0, dt, n_steps, zhat=lambda s: s[n])
+    return _trace(dt, t_final, event, x, y, z, zh, zh - z, v=v, chain0=chain0.tolist())
 
 
 def simulate_custom_observer(
@@ -246,27 +235,26 @@ def simulate_custom_observer(
     m = xi0.size
     if len(xi_rhs) != m:
         raise SimError("xi0 length must match the number of observer state equations")
-
-    xi_names = [f"xi{i+1}" for i in range(m)]
-    y_names = [f"y{j+1}" for j in range(sys.p)]
-    zhat_fn = compile_checked((as_expr(zhat_expr),), xi_names + y_names, sys.params)
-
-    # xi<k+1> is the stage local u<n+k>; y<j+1> is y<j>
+    xi_rhs = [as_expr(e) for e in xi_rhs]
+    zhat_expr = as_expr(zhat_expr)
     n = sys.n
-    xs = _slots(sys.state_names, "u")
-    obs_slots = {**_slots(xi_names, "u", n), **_slots(y_names, "y")}
-    aux = [f"y{j} = {_py_src(e, xs, sys.params)}" for j, e in enumerate(sys.h)]
-    derivs = [_py_src(e, xs, sys.params) for e in sys.f]
-    derivs += [_py_src(as_expr(e), obs_slots, sys.params) for e in xi_rhs]
+
+    def slots(u):
+        # xi<k+1> is u[n+k]; y<j+1> is h_j read in place
+        xs = dict(zip(sys.state_names, u))
+        obs = {f"xi{k + 1}": u[n + k] for k in range(m)}
+        obs.update((f"y{j + 1}", (e, xs)) for j, e in enumerate(sys.h))
+        return xs, obs
+
+    def stage(u):
+        xs, obs = slots(u)
+        return _py_block([(e, xs) for e in sys.f] + [(e, obs) for e in xi_rhs], sys.params)
+
     s0 = np.concatenate((x0, xi0))
-    states, y, z, zh, event = _rollout(
-        sys, aux, derivs, s0, dt, n_steps, zhat_fn=lambda s, yk: zhat_fn([*s[n:], *yk])[0]
+    x, y, z, zh, event = _rollout(
+        sys, stage, s0, dt, n_steps, zhat=lambda s: (zhat_expr, slots(s)[1])
     )
-    if event is None and zh.size and np.max(np.abs(zh)) > DIVERGENCE_LIMIT:
-        keep = int(np.argmax(np.abs(zh) > DIVERGENCE_LIMIT)) + 1
-        states, y, z, zh = states[:keep], y[:keep], z[:keep], zh[:keep]
-        event = "divergence"
-    return _trace(dt, t_final, event, states[:, :n], y, z, zh, zh - z, observer_states=m)
+    return _trace(dt, t_final, event, x, y, z, zh, zh - z, observer_states=m)
 
 
 def simulate_linear_observer(
@@ -410,10 +398,15 @@ def error_decay_fit(trace: SimTrace, t_lo: float, t_hi: float) -> float:
 # ---------------------------------------------------------------------------
 # trace export
 
+_CSV_BLOCK = 1024  # rows per formatted block
+
 
 def write_csv(trace: SimTrace, path):
     """Write t, states, outputs, target, estimate and error at 17 significant
-    digits, one row per step."""
+    digits, one row per step.  Rows are formatted in blocks of _CSV_BLOCK,
+    so only one block at a time is held as Python floats, and a column
+    whose bits repeat another's (an output that is a state, say) is
+    formatted once."""
     n = trace.x.shape[1]
     p = trace.y.shape[1] if trace.y.ndim == 2 else 1
     cols = (
@@ -423,7 +416,13 @@ def write_csv(trace: SimTrace, path):
         + ["z", "zhat", "err"]
     )
     table = np.column_stack((trace.t, trace.x, trace.y, trace.z, trace.zhat, trace.err))
-    row_fmt = ",".join(["%.17g"] * len(cols)) + "\n"
+    seen = {}  # column bytes -> its place among the columns formatted
+    of_col = [seen.setdefault(col.tobytes(), len(seen)) for col in table.T]
+    distinct = [of_col.index(i) for i in range(len(seen))]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        fh.writelines(row_fmt % tuple(row) for row in table.tolist())
+        for start in range(0, table.shape[0], _CSV_BLOCK):
+            block = table[start : start + _CSV_BLOCK, distinct]
+            fmt = "%.17g\n" * block.shape[0]
+            text = [(fmt % tuple(col)).split("\n")[:-1] for col in block.T.tolist()]
+            fh.write("\n".join(map(",".join, zip(*(text[i] for i in of_col)))) + "\n")

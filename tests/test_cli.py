@@ -80,6 +80,17 @@ def test_analyze_cstr_high_order(tmp_path):
     assert payload["observability_index"] == 2
 
 
+def test_analyze_orders_past_int64_factorials(tmp_path, capsys):
+    # 21! overflows int64; 171! overflows a double and is refused
+    rc = main(["analyze", "--builtin", "batch-reactor", "--m-max", "22", "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(_read(tmp_path / "analysis.json")["rank_table"]) == 22
+    capsys.readouterr()
+    rc = main(["analyze", "--builtin", "batch-reactor", "--m-max", "172", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "171! is not a finite double" in capsys.readouterr().out
+
+
 def test_analyze_system_file_deterministic(tmp_path):
     sys_path = tmp_path / "sys.json"
     save_system(builtin_batch_reactor(), sys_path)

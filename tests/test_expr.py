@@ -405,3 +405,20 @@ def test_compile_exprs_raises_eval_errors():
     fn = compile_exprs((parse("1/x"),), ["x"], {})
     with pytest.raises(ZeroDivisionError):
         fn([0.0])
+
+
+def test_py_block_computes_repeats_once_per_slots():
+    # one tree under two slot maps is two computations; a repeat within one
+    # is a local, and an (expression, slots) slot is expanded in place
+    from funcobs.expr import _py_block
+
+    e = parse("exp(x)*exp(x) + y")
+    roots = [
+        (e, {"x": "a", "y": "b"}),
+        (e, {"x": "c", "y": (parse("x*x"), {"x": "a"})}),
+        (parse("w + w"), {"w": (parse("2*x"), {"x": "a"})}),
+        "raw",
+    ]
+    lines, srcs = _py_block(roots, {})
+    assert lines == ["t0 = _exp(a)", "t1 = _exp(c)", "t2 = ((2.0)*a)"]
+    assert srcs == ["((t0*t0)+b)", "((t1*t1)+(a*a))", "(t2+t2)", "raw"]

@@ -7,6 +7,7 @@ tree-walk `evaluate`, sample by sample, as the rank tests did before jets.
 
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -271,3 +272,34 @@ def test_jets_keep_floating_point_state_scoped():
         assert np.geterr() == before
     assert not np.isfinite(d[0]).all() and not np.isfinite(d[1]).all()
     assert np.isfinite(d[2]).all()
+
+
+@pytest.mark.parametrize("builtin", ["batch-reactor", "cstr"])
+def test_float_factorials_keep_analysis_bytes(tmp_path, monkeypatch, builtin):
+    # The jets scale order k by k! as a double.  Below 21! the int64
+    # factorials they multiplied by before convert to the same doubles, so
+    # analysis.json at the CLI defaults keeps its bytes.
+    from funcobs import jets, lie, observability
+    from funcobs.cli import main
+
+    def int_factorial_jets(sys_, exprs, order, pts):
+        with monkeypatch.context() as mp:
+            mp.setattr(jets, "math", types.SimpleNamespace(factorial=lambda k: 1))
+            raw = jets.flow_derivatives(sys_, exprs, order, pts)
+        return raw * np.array([math.factorial(k) for k in range(order)]).reshape(1, -1, 1, 1)
+
+    args = ["analyze", "--builtin", builtin, "--out"]
+    assert main([*args, str(tmp_path / "float")]) == 0
+    for mod in (lie, observability):
+        monkeypatch.setattr(mod, "flow_derivatives", int_factorial_jets)
+    assert main([*args, str(tmp_path / "int")]) == 0
+    read = lambda name: (tmp_path / name / "analysis.json").read_bytes()
+    assert read("float") == read("int")
+
+
+def test_jets_reject_orders_past_finite_factorials():
+    sys_ = builtin_batch_reactor()
+    pts = sample_states(sys_, 2, SEED)
+    assert np.isfinite(flow_derivatives(sys_, sys_.h, 22, pts)).all()  # 21! > int64
+    with pytest.raises(ValueError, match="171! is not a finite double"):
+        flow_derivatives(sys_, sys_.h, 172, pts)

@@ -24,3 +24,15 @@ def test_pole_sweep_fits_the_assigned_poles(tmp_path):
     assert [float(r["assigned_pole"]) for r in rows] == [-1.0, -2.0]
     for r in rows:
         assert abs(float(r["relative_error"])) <= 1e-6
+
+
+def test_artifact_hashes_repeat(capsys):
+    artifact_hashes = _load_script("artifact_hashes")
+    printed = []
+    for _ in range(2):
+        assert artifact_hashes.main(["--t-final", "0.5"]) == 0
+        printed.append(capsys.readouterr().out.splitlines())
+    assert printed[0] == printed[1]
+    names = [line.split("  ")[1] for line in printed[0]]
+    assert "sim-batch/trace.csv" in names and "sim-linear/summary.json" in names
+    assert "demo-cstr/analysis.json" in names and len(names) == 19

@@ -143,21 +143,29 @@ def test_compile_checked_reports_domain_errors_only():
 
 
 def test_programming_error_in_rollout_propagates():
-    # a start of the wrong length fails in the unpacking, outside the catch
-    # of domain errors, and so does a non-domain error inside the stages
-    with pytest.raises(ValueError, match="unpack"):
-        sim._rk4_kernel((), ["-u0", "u0"], [1.0], 1e-2, 10)
+    # a non-domain error in the stage code or in the output code is a bug,
+    # not an evaluation failure: it propagates out of the kernel
+    def record(s):
+        return [], [s[0]]
+
     with pytest.raises(TypeError):
-        sim._rk4_kernel((), ["u0 + None"], [1.0], 1e-2, 10)
+        sim._rk4_kernel(lambda u: ([], [f"{u[0]} + None"]), record, [1.0], 1e-2, 10)
+    with pytest.raises(NameError):  # a derivative that reads past the state
+        sim._rk4_kernel(lambda u: ([], ["u1"]), record, [1.0], 1e-2, 10)
+    with pytest.raises(TypeError):
+        sim._rk4_kernel(lambda u: ([], ["-1.0"]), lambda s: ([], [f"{s[0]} + None"]), [1.0], 1e-2, 10)
 
-    def ident(x):
-        return tuple(x)
 
-    def no_target(x):
-        return ()
-
-    with pytest.raises(IndexError):
-        sim._fill_outputs(np.zeros((3, 1)), 1, 1, ident, no_target)
+def test_output_failure_at_start_is_evaluation_failure():
+    # ln(x) fails at x0 = -1; the plant itself diverges later, which must not
+    # relabel the run
+    sys_ = SystemDef(
+        state_names=("x",), params={}, f=(parse("1 + x*x"),), h=(parse("ln(x)"),),
+        q=parse("x"), box={"x": (0.1, 1.0)},
+    )
+    tr = integrate_plant(sys_, np.array([-1.0]), 5.0, dt=1e-2)
+    assert tr.meta["event"] == "evaluation-failure"
+    assert tr.t.size == 0 and tr.x.shape == (0, 1) and tr.y.shape == (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -528,18 +536,25 @@ def _specials_trace(y_ndim):
     )
 
 
-@pytest.mark.parametrize("case", ["specials-1d-y", "specials-2d-y", "rollout"])
+@pytest.mark.parametrize("case", ["specials-1d-y", "specials-2d-y", "rollout", "signed-zeros"])
 def test_csv_matches_per_value_writer(tmp_path, case):
-    if case == "rollout":
+    # the writer formats a column once when its bits repeat another's: the
+    # specials repeat y as zhat and z as err, the batch rollout x2 as y1 and
+    # x1 as z, and signed zeros make columns that are equal but not the same
+    if case == "rollout":  # 2,501 rows: two full blocks and a partial one
         sys_, obs = _batch_setup()
-        tr = simulate_coupled(sys_, obs, X0, chain_init_exact(sys_, X0, 1) + 0.1, 1.0, dt=1e-3)
+        tr = simulate_coupled(sys_, obs, X0, chain_init_exact(sys_, X0, 1) + 0.1, 2.5, dt=1e-3)
+    elif case == "signed-zeros":
+        col = np.array([0.0, 1.5, 0.0])
+        tr = SimTrace(t=np.arange(3) * 0.1, x=np.column_stack((col, -col)), y=col.copy(),
+                      z=col * -0.0, zhat=col * 0.0, err=-col)
     else:
         tr = _specials_trace(1 if case == "specials-1d-y" else 2)
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     write_csv(tr, new)
     _per_value_csv(tr, old)
     assert new.read_bytes() == old.read_bytes()
-    if case != "rollout":
+    if case.startswith("specials"):
         text = new.read_text()
         assert "nan" in text and "-inf" in text and ",-0," in text
 
@@ -564,36 +579,53 @@ def test_exact_error_grid_first_order_matches_scipy_expm(t0):
 
 # ---------------------------------------------------------------------------
 # the generated RK4 kernel against the list-based loop and per-rollout
-# right-hand-side closures it replaced, kept here as the oracle: the
-# operation order is unchanged, so states, event and row count must agree
+# right-hand-side and output closures it replaced, kept here as the oracle:
+# the operation order is unchanged, so states, outputs, event and row count
+# must agree.  The oracle applies the kernel's one event rule: row by row,
+# the first domain error, non-finite state or |zhat| above the limit ends
+# the run.
 
 
-def _list_rk4(rhs, s0, dt, n_steps, zhat_slot=None):
+def _list_rk4(rhs, out, s0, dt, n_steps, zhat_col=None):
     s = [float(v) for v in s0]
-    rows = [s]
-    event = None
+    rows = []
     h2, h6 = 0.5 * dt, dt / 6.0
-    for _ in range(n_steps):
+    for step in range(n_steps + 1):
+        if step:
+            try:
+                k1 = rhs(s)
+                k2 = rhs([a + h2 * b for a, b in zip(s, k1)])
+                k3 = rhs([a + h2 * b for a, b in zip(s, k2)])
+                k4 = rhs([a + dt * b for a, b in zip(s, k3)])
+            except EvalError:
+                return rows, "evaluation-failure"
+            s = [
+                a + h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)
+            ]
+            if not all(map(math.isfinite, s)):
+                return rows, "divergence"
         try:
-            k1 = rhs(s)
-            k2 = rhs([a + h2 * b for a, b in zip(s, k1)])
-            k3 = rhs([a + h2 * b for a, b in zip(s, k2)])
-            k4 = rhs([a + dt * b for a, b in zip(s, k3)])
+            outputs = out(s)
         except EvalError:
-            event = "evaluation-failure"
-            break
-        s = [
-            a + h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-            for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)
-        ]
-        if not all(map(math.isfinite, s)):
-            event = "divergence"
-            break
-        rows.append(s)
-        if zhat_slot is not None and abs(s[zhat_slot]) > DIVERGENCE_LIMIT:
-            event = "divergence"
-            break
-    return np.array(rows), event
+            return rows, "evaluation-failure"
+        rows.append(s + outputs)
+        if zhat_col is not None and abs(outputs[zhat_col]) > DIVERGENCE_LIMIT:
+            return rows, "divergence"
+    return rows, None
+
+
+def _list_outputs(sys_, zhat=None):
+    """y, z and, when given, zhat(s, y) of a row state s."""
+    n = sys_.n
+    h_fn = compile_checked(sys_.h, sys_.state_names, sys_.params)
+    q_fn = compile_checked((sys_.q,), sys_.state_names, sys_.params)
+
+    def out(s):
+        y = list(h_fn(s[:n]))
+        return y + [q_fn(s[:n])[0]] + ([] if zhat is None else [zhat(s, y)])
+
+    return out
 
 
 def _list_coupled_rhs(sys_, obs):
@@ -615,37 +647,49 @@ def _list_coupled_rhs(sys_, obs):
     return rhs
 
 
-def _list_custom_rhs(sys_, xi_rhs):
+def _list_custom(sys_, xi_rhs, zhat):
+    """(rhs, out) of a custom observer."""
     n = sys_.n
     names = [f"xi{i+1}" for i in range(len(xi_rhs))] + [f"y{j+1}" for j in range(sys_.p)]
     f_fn = compile_checked(sys_.f, sys_.state_names, sys_.params)
     h_fn = compile_checked(sys_.h, sys_.state_names, sys_.params)
     rhs_fn = compile_checked(tuple(as_expr(e) for e in xi_rhs), names, sys_.params)
+    zhat_fn = compile_checked((as_expr(zhat),), names, sys_.params)
 
     def rhs(s):
         x = s[:n]
         return [*f_fn(x), *rhs_fn([*s[n:], *h_fn(x)])]
 
-    return rhs
+    return rhs, _list_outputs(sys_, lambda s, y: zhat_fn([*s[n:], *y])[0])
+
+
+def _custom_case(xi_rhs, zhat, xi0, t_final, dt, event):
+    sys_, _ = _batch_setup(-2.0)
+    run = lambda: simulate_custom_observer(sys_, xi_rhs, zhat, X0, [xi0], t_final, dt=dt)
+    rhs, out = _list_custom(sys_, xi_rhs, zhat)
+    return run, rhs, out, [*X0, xi0], dt, int(round(t_final / dt)), sys_.p + 1, event
 
 
 def _kernel_case(case):
-    """(rollout, old right-hand side, start, dt, steps, zhat slot, event)."""
-    if case == "division-by-zero":
-        # x reaches exactly 0 at a stage of step 8, where y' = 1/x
+    """(rollout, old right-hand side, old outputs, start, dt, steps, zhat
+    column of the outputs, event)."""
+    if case in ("division-by-zero", "output-failure"):
+        # division: x reaches exactly 0 at a stage of step 8, where y' = 1/x;
+        # output: ln(x) fails once x has crossed 0 while the plant runs on
+        f, h = ("-1", "1/x"), ("y",) if case == "division-by-zero" else ("ln(x)",)
         sys_ = SystemDef(
-            state_names=("x", "y"), params={}, f=(parse("-1"), parse("1/x")),
-            h=(parse("y"),), q=parse("x"), box={"x": (0.1, 1.0), "y": (-1.0, 1.0)},
+            state_names=("x", "y"), params={}, f=tuple(map(parse, f)),
+            h=tuple(map(parse, h)), q=parse("x"), box={"x": (0.1, 1.0), "y": (-1.0, 1.0)},
         )
         s0 = [1.0, 0.0]
         run = lambda: integrate_plant(sys_, np.array(s0), 2.0, dt=0.125)
         rhs = compile_checked(sys_.f, sys_.state_names, sys_.params)
-        return run, rhs, s0, 0.125, 16, None, "evaluation-failure"
+        return run, rhs, _list_outputs(sys_), s0, 0.125, 16, None, "evaluation-failure"
     if case == "custom-observer":
-        sys_, _ = _batch_setup(-2.0)
         xi_rhs = ["-2*xi1 - (1 - 2/k1)*(-2*y1 + k2*y1^2)"]
-        run = lambda: simulate_custom_observer(sys_, xi_rhs, "xi1", X0, [-0.2], 2.0, dt=1e-3)
-        return run, _list_custom_rhs(sys_, xi_rhs), [*X0, -0.2], 1e-3, 2000, None, None
+        return _custom_case(xi_rhs, "xi1 - (1 - 2/k1)*y1", -0.2, 2.0, 1e-3, None)
+    if case == "estimate-failure":  # zhat = ln(xi1) fails once xi1 crosses 0
+        return _custom_case(["-1"], "ln(xi1) + y1", 0.5, 2.0, 1e-2, "evaluation-failure")
     t_final, dt, event = 2.0, 1e-3, None
     if case == "batch":
         (sys_, obs), x0, off = _batch_setup(-2.0), X0, [0.3]
@@ -661,32 +705,86 @@ def _kernel_case(case):
     chain0 = chain_init_exact(sys_, x0, obs.v) + np.array(off)
     run = lambda: simulate_coupled(sys_, obs, x0, chain0, t_final, dt=dt)
     s0 = [*x0, *chain0]
-    return run, _list_coupled_rhs(sys_, obs), s0, dt, int(round(t_final / dt)), sys_.n, event
+    out = _list_outputs(sys_, lambda s, y: s[sys_.n])
+    rhs = _list_coupled_rhs(sys_, obs)
+    return run, rhs, out, s0, dt, int(round(t_final / dt)), sys_.p + 1, event
 
 
 @pytest.mark.parametrize(
     "case",
-    ["batch", "cstr", "triple-integrator", "batch-divergent", "division-by-zero", "custom-observer"],
+    [
+        "batch", "cstr", "triple-integrator", "batch-divergent", "division-by-zero",
+        "output-failure", "custom-observer", "estimate-failure",
+    ],
 )
 def test_kernel_matches_list_rk4_loop(monkeypatch, case):
-    run, rhs, s0, dt, n_steps, zhat_slot, event = _kernel_case(case)
+    run, rhs, out, s0, dt, n_steps, zhat_col, event = _kernel_case(case)
     seen = []
     kernel = sim._rk4_kernel
 
-    def spy(*args, **kwargs):
-        seen.append(kernel(*args, **kwargs))
-        return seen[-1]
+    def spy(stage, *args, **kwargs):
+        seen.append((stage, kernel(stage, *args, **kwargs)))
+        return seen[-1][1]
 
     monkeypatch.setattr(sim, "_rk4_kernel", spy)
     tr = run()
-    (rows, got_event), = seen
-    states = np.array(rows)
-    ref, ref_event = _list_rk4(rhs, s0, dt, n_steps, zhat_slot)
+    (stage, (table, got_event)), = seen
+    ref, ref_event = _list_rk4(rhs, out, s0, dt, n_steps, zhat_col)
+    ref = np.array(ref).reshape(len(ref), table.shape[1])
     assert got_event == ref_event == event == tr.meta["event"]
-    assert states.shape[0] == ref.shape[0] == tr.t.size
+    assert table.shape[0] == ref.shape[0] == tr.t.size
     assert 1 < ref.shape[0] <= n_steps + 1
-    assert _same_bits(states, ref)
+    assert _same_bits(table, ref)
+    m, p = len(s0), tr.y.shape[1]
     assert _same_bits(tr.x, ref[:, : tr.x.shape[1]])
+    assert _same_bits(tr.y, ref[:, m : m + p]) and _same_bits(tr.z, ref[:, m + p])
+    if zhat_col is not None:
+        assert _same_bits(tr.zhat, ref[:, m + zhat_col])
+        assert _same_bits(tr.err, ref[:, m + zhat_col] - ref[:, m + p])
+    if case == "cstr":  # exp(-1/x2) of f, of the w locals and of T is computed once per stage
+        lines, _ = stage([f"u{i}" for i in range(m)])
+        assert any(ln.split(" = ")[1].startswith("_exp(") for ln in lines)
+
+
+def _xi_list_rows(xi_rhs, xi0, t_final, dt):
+    """Rows of the custom-observer list loop without the |zhat| check."""
+    run, rhs, out, s0, dt, n_steps, _, _ = _custom_case(xi_rhs, "xi1", xi0, t_final, dt, None)
+    rows, event = _list_rk4(rhs, out, s0, dt, n_steps)
+    return run, np.array(rows), event
+
+
+def test_custom_observer_stops_at_first_estimate_past_limit():
+    # xi1' = 3*xi1 passes 1e12 near t = 9.2 and stays finite to T = 12
+    run, rows, event = _xi_list_rows(["3*xi1"], 1.0, 12.0, 1e-2)
+    assert event is None
+    past = np.abs(rows[:, -1]) > DIVERGENCE_LIMIT
+    keep = int(np.argmax(past)) + 1
+    tr = run()
+    assert tr.meta["event"] == "divergence"
+    assert tr.t.size == keep and 900 < keep < rows.shape[0]
+    assert abs(tr.zhat[-1]) > DIVERGENCE_LIMIT and not (np.abs(tr.zhat[:-1]) > DIVERGENCE_LIMIT).any()
+    assert _same_bits(tr.zhat, rows[:keep, -1])
+
+
+def test_custom_observer_limit_precedes_later_non_finite_state():
+    # xi1' = xi1*xi1 blows up at t = 1: the estimate passes 1e12 a few rows
+    # before the state overflows.  The rollout stops at the first row past
+    # the limit, not at the non-finite state.
+    run, rows, event = _xi_list_rows(["xi1*xi1"], 1.0, 2.0, 1e-3)
+    assert event == "divergence"  # the non-finite state, rows past the limit kept
+    keep = int(np.argmax(np.abs(rows[:, -1]) > DIVERGENCE_LIMIT)) + 1
+    assert keep < rows.shape[0]
+    tr = run()
+    assert tr.meta["event"] == "divergence"
+    assert tr.t.size == keep
+    assert _same_bits(tr.zhat, rows[:keep, -1])
+
+
+def test_chain_start_past_limit_stops_at_row_0():
+    sys_, obs = _batch_setup(-2.0)
+    tr = simulate_coupled(sys_, obs, X0, np.array([2e12]), 1.0, dt=1e-2)
+    assert tr.meta["event"] == "divergence"
+    assert tr.zhat.tolist() == [2e12]
 
 
 # ---------------------------------------------------------------------------
