@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Split the start-up of a funcobs CLI process into its parts.
+
+Times fresh interpreters running `-c pass`, `-c "import numpy"` and
+`-c "import funcobs.cli"`, interleaved round by round so that drift of the
+machine's speed falls on all three alike, and prints one JSON line: the
+median wall and user+sys seconds of each, and the number of threads the
+process holds after `import funcobs.cli` (null where /proc/self/task does
+not exist).  funcobs is imported from this checkout's src/; the thread
+variables of the calling environment pass through, so
+
+    OPENBLAS_NUM_THREADS=2 python scripts/startup_split.py --runs 25
+
+shows the cost of a BLAS pool.  Standard library only.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+CODES = {"pass": "pass", "import numpy": "import numpy", "import funcobs.cli": "import funcobs.cli"}
+TASKS_CODE = (
+    "import json, os, funcobs.cli; t = '/proc/self/task'; "
+    "print(json.dumps(len(os.listdir(t)) if os.path.isdir(t) else None))"
+)
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_once(code: str, env: dict) -> tuple[float, float]:
+    """(wall, user+sys) seconds of one fresh interpreter running code."""
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.DEVNULL)
+    _, status, ru = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
+    if proc.returncode != 0:
+        raise SystemExit(f"python -c {code!r} failed")
+    return wall, ru.ru_utime + ru.ru_stime
+
+
+def startup_split(runs: int) -> dict:
+    env = _env()
+    names = list(CODES)
+    samples = {name: [] for name in names}
+    for r in range(runs):
+        for name in names[r % len(names):] + names[: r % len(names)]:
+            samples[name].append(run_once(CODES[name], env))
+    out = subprocess.run([sys.executable, "-c", TASKS_CODE], env=env, capture_output=True, text=True, check=True)
+    return {
+        "runs": runs,
+        **{
+            name: {
+                "wall_s": round(statistics.median(w for w, _ in s), 4),
+                "cpu_s": round(statistics.median(c for _, c in s), 4),
+            }
+            for name, s in samples.items()
+        },
+        "tasks_after_cli_import": json.loads(out.stdout),
+        "thread_vars": {k: os.environ.get(k) for k in THREAD_VARS},
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--runs", type=int, default=15, help="fresh processes per command (default 15)")
+    args = ap.parse_args(argv)
+    if args.runs < 1:
+        ap.error("--runs must be at least 1")
+    print(json.dumps(startup_split(args.runs)))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

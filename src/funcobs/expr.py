@@ -943,8 +943,8 @@ def _py_args(e: Expr) -> tuple[Expr, ...]:
         return e.terms
     if isinstance(e, Product):
         return e.factors
-    if isinstance(e, Quot):
-        return (e.num, e.den)
+    if isinstance(e, Quot):  # a negated numerator is emitted by _py_join
+        return (e.num.arg if isinstance(e.num, Neg) else e.num, e.den)
     if isinstance(e, Pow):
         return (e.base,)
     raise ExprError(f"cannot compile {e!r}")
@@ -959,7 +959,12 @@ def _py_join(e: Expr, parts: list[str]) -> str:
     if isinstance(e, Product):
         return "(" + "*".join(parts) + ")"
     if isinstance(e, Quot):
-        return f"({parts[0]}/{parts[1]})"
+        # (-a)/b as -(a/b), the text of the same value written as Neg(Quot),
+        # so _py_block shares the two: division rounds symmetrically in sign
+        # and a zero b raises either way (a NaN made from infinities may
+        # differ in its sign bit only)
+        q = f"({parts[0]}/{parts[1]})"
+        return f"(-{q})" if isinstance(e.num, Neg) else q
     if isinstance(e, Pow):
         return f"({parts[0]}**({e.exponent}))"
     return f"{_PYFN[e.fn]}({parts[0]})"

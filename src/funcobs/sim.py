@@ -297,7 +297,7 @@ def simulate_linear_observer(
         slack = (np.abs(states) @ np.abs(zh_row)) * (4 * (n + v) * np.finfo(float).eps)
         near = np.abs(states @ zh_row) + slack > DIVERGENCE_LIMIT
     event, last = None, n_steps
-    for r in np.flatnonzero(~finite[1:] | near[1:]) + 1:
+    for r in np.flatnonzero(~finite | near):
         if not finite[r] or abs(zh_row @ states[r]) > DIVERGENCE_LIMIT:
             event, last = "divergence", (r if finite[r] else r - 1)
             break

@@ -577,9 +577,9 @@ def test_demo_is_the_staged_pipeline(tmp_path, name):
 # import path
 
 
-def _run_python(*args):
+def _run_python(*args, env=None):
     src = os.path.dirname(os.path.dirname(os.path.abspath(funcobs.__file__)))
-    env = dict(os.environ)
+    env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
@@ -604,3 +604,53 @@ def test_package_reexports_cli_names():
     assert funcobs.builtin_double_integrator().n == 2
     with pytest.raises(AttributeError):
         funcobs.no_such_name
+
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+# the thread-variable value and, on Linux, this process's thread count
+THREADS_CODE = (
+    "import os, sys; {}; "
+    "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else -1; "
+    "print(os.environ.get('OMP_NUM_THREADS'), tasks, 'numpy' in sys.modules)"
+)
+
+
+def _threads_after(imports, **preset):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    proc = _run_python("-c", THREADS_CODE.format(imports), env={**env, **preset})
+    assert proc.returncode == 0, proc.stderr
+    omp, tasks, numpy_loaded = proc.stdout.split()
+    return omp, int(tasks), numpy_loaded == "True"
+
+
+def test_cli_import_runs_blas_on_one_thread():
+    omp, tasks, _ = _threads_after("import funcobs.cli")
+    assert omp == "1"
+    if sys.platform == "linux":
+        assert tasks == 1
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2, reason="needs /proc and two CPUs"
+)
+def test_cli_import_leaves_a_preset_thread_count():
+    assert _threads_after("import funcobs.cli", OPENBLAS_NUM_THREADS="2")[1] == 2
+
+
+def test_cli_import_after_numpy_sets_no_thread_variable():
+    assert _threads_after("import numpy, funcobs.cli")[0] == "None"
+
+
+def test_package_import_is_lazy():
+    omp, _, numpy_loaded = _threads_after("import funcobs")
+    assert omp == "None" and not numpy_loaded
+
+
+def test_package_names_all_resolve():
+    for name in funcobs.__all__:
+        assert getattr(funcobs, name) is not None
+    assert set(funcobs.__all__) <= set(dir(funcobs))
+    # a submodule is an attribute of the package before anything imports it
+    proc = _run_python("-c", "import funcobs; print(funcobs.sim.__name__, funcobs.jets.MAX_ORDER)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["funcobs.sim", "171"]

@@ -407,6 +407,24 @@ def test_compile_exprs_raises_eval_errors():
         fn([0.0])
 
 
+def test_negated_quotient_is_one_shared_value():
+    # (-x)/y and -(x/y) are emitted as one text and computed once; division
+    # rounds symmetrically in sign, so both keep their values, zeros' signs
+    # and division by zero
+    from funcobs.expr import _py_block
+
+    x, y = Sym("x"), Sym("y")
+    forms = (Quot(Neg(x), y), Neg(Quot(x, y)))
+    slots = {"x": "a", "y": "b"}
+    assert _py_block([(e, slots) for e in forms], {}) == (["t0 = (-(a/b))"], ["t0", "t0"])
+    fn = compile_exprs(forms, ["x", "y"])
+    for xv, yv in [(1.0, 3.0), (-0.7, 1e-300), (0.0, -2.0), (-0.0, 5.0), (1e308, -1e-308)]:
+        got, want = fn([xv, yv]), ((-xv) / yv, -(xv / yv))
+        assert got == want and [math.copysign(1.0, g) for g in (*got, *want)] == [math.copysign(1.0, want[0])] * 4
+    with pytest.raises(ZeroDivisionError):
+        fn([1.0, 0.0])
+
+
 def test_py_block_computes_repeats_once_per_slots():
     # one tree under two slot maps is two computations; a repeat within one
     # is a local, and an (expression, slots) slot is expanded in place

@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import json
 import os
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -36,3 +37,15 @@ def test_artifact_hashes_repeat(capsys):
     names = [line.split("  ")[1] for line in printed[0]]
     assert "sim-batch/trace.csv" in names and "sim-linear/summary.json" in names
     assert "demo-cstr/analysis.json" in names and len(names) == 19
+
+
+def test_startup_split_prints_one_json_line(capsys):
+    startup_split = _load_script("startup_split")
+    assert startup_split.main(["--runs", "1"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    split = json.loads(line)
+    assert split["runs"] == 1
+    for name in ("pass", "import numpy", "import funcobs.cli"):
+        assert split[name]["wall_s"] > 0 and split[name]["cpu_s"] >= 0
+    tasks = split["tasks_after_cli_import"]
+    assert tasks is None or tasks >= 1

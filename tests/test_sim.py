@@ -746,6 +746,19 @@ def test_kernel_matches_list_rk4_loop(monkeypatch, case):
         assert any(ln.split(" = ")[1].startswith("_exp(") for ln in lines)
 
 
+def test_cstr_stage_computes_its_arrhenius_exp_once(monkeypatch):
+    # f holds exp((-1)/x2), the measurement derivatives and T hold exp(-(1/x2))
+    run, _, _, s0 = _kernel_case("cstr")[:4]
+    stages = []
+    kernel = sim._rk4_kernel
+    monkeypatch.setattr(sim, "_rk4_kernel", lambda stage, *a: (stages.append(stage), kernel(stage, *a))[1])
+    run()
+    (stage,) = stages
+    for inputs in ("s", "u"):
+        lines, derivs = stage([f"{inputs}{i}" for i in range(len(s0))])
+        assert sum(src.count("_exp(") for src in [*lines, *derivs]) == 1
+
+
 def _xi_list_rows(xi_rhs, xi0, t_final, dt):
     """Rows of the custom-observer list loop without the |zhat| check."""
     run, rhs, out, s0, dt, n_steps, _, _ = _custom_case(xi_rhs, "xi1", xi0, t_final, dt, None)
@@ -788,8 +801,8 @@ def test_chain_start_past_limit_stops_at_row_0():
 
 
 # ---------------------------------------------------------------------------
-# the linear simulator against its step-by-step loop, which tested every new
-# row before computing the next
+# the linear simulator against its step-by-step loop, which tests every row,
+# the start included, before computing the next
 
 
 def _stepwise_linear(lsys, lobs, x0, xi0, t_final, dt):
@@ -808,13 +821,12 @@ def _stepwise_linear(lsys, lobs, x0, xi0, t_final, dt):
     event = None
     last = n_steps
     zh_row = np.concatenate(((lobs.D @ lsys.H)[0], lobs.C[0]))
-    for k in range(n_steps):
-        states[k + 1] = P @ states[k]
-        if not np.all(np.isfinite(states[k + 1])) or abs(
-            zh_row @ states[k + 1]
-        ) > DIVERGENCE_LIMIT:
+    for k in range(n_steps + 1):
+        if k > 0:
+            states[k] = P @ states[k - 1]
+        if not np.all(np.isfinite(states[k])) or abs(zh_row @ states[k]) > DIVERGENCE_LIMIT:
             event = "divergence"
-            last = k + 1 if np.all(np.isfinite(states[k + 1])) else k
+            last = k if np.all(np.isfinite(states[k])) else k - 1
             break
     states = states[: last + 1]
     y = states[:, :n] @ lsys.H.T
@@ -847,6 +859,28 @@ def test_linear_observer_matches_stepwise_loop(pole, scale, t_final, event, rows
     assert _same_bits(tr.x, states[:, : lsys.n])
     assert _same_bits(tr.y, y) and _same_bits(tr.z, z) and _same_bits(tr.zhat, zh)
     assert _same_bits(tr.err, zh - z)
+
+
+@pytest.mark.parametrize(
+    "zhat0, rows", [(2e12, 1), (math.nan, 0)], ids=["past-limit", "non-finite"]
+)
+def test_linear_start_row_is_checked(zhat0, rows):
+    lsys = builtin_double_integrator()
+    lobs = design_linear_observer(lsys, [-2.0])
+    x0 = np.array([0.3, -0.2])
+    xi0 = xi_from_chain(lobs, np.array([zhat0]), np.atleast_2d(lsys.H @ x0))
+    tr = simulate_linear_observer(lsys, lobs, x0, xi0, 1.0, dt=1e-2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        states, _, _, zh, ref_event = _stepwise_linear(lsys, lobs, x0, xi0, 1.0, 1e-2)
+    assert tr.meta["event"] == ref_event == "divergence"
+    assert tr.t.size == states.shape[0] == rows
+    assert _same_bits(tr.zhat, zh)
+    if rows:  # the chain route of the same observer stops at the same row
+        chain = simulate_coupled(
+            linear_to_system(lsys), linear_observer_to_io(lobs), x0, np.array([zhat0]), 1.0, dt=1e-2
+        )
+        assert chain.meta["event"] == "divergence"
+        assert tr.zhat.tolist() == chain.zhat.tolist() == [zhat0]
 
 
 # ---------------------------------------------------------------------------
