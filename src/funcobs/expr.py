@@ -55,36 +55,6 @@ class Expr:
     def __str__(self) -> str:
         return to_text(self)
 
-    def __add__(self, other):
-        return Sum((self, as_expr(other)))
-
-    def __radd__(self, other):
-        return Sum((as_expr(other), self))
-
-    def __sub__(self, other):
-        return Sum((self, Neg(as_expr(other))))
-
-    def __rsub__(self, other):
-        return Sum((as_expr(other), Neg(self)))
-
-    def __mul__(self, other):
-        return Product((self, as_expr(other)))
-
-    def __rmul__(self, other):
-        return Product((as_expr(other), self))
-
-    def __truediv__(self, other):
-        return Quot(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return Quot(as_expr(other), self)
-
-    def __pow__(self, k):
-        return Pow(self, k)
-
-    def __neg__(self):
-        return Neg(self)
-
 
 @dataclass(frozen=True)
 class Const(Expr):
@@ -171,6 +141,34 @@ def as_expr(x) -> Expr:
     if isinstance(x, (int, Fraction, float)):
         return Const(x)
     raise ExprError(f"cannot interpret {x!r} as an expression")
+
+
+def _operands(e: Expr) -> tuple[Expr, ...]:
+    """The subexpressions of e in order; () for a leaf."""
+    if isinstance(e, (Neg, Call)):
+        return (e.arg,)
+    if isinstance(e, Sum):
+        return e.terms
+    if isinstance(e, Product):
+        return e.factors
+    if isinstance(e, Quot):
+        return (e.num, e.den)
+    if isinstance(e, Pow):
+        return (e.base,)
+    return ()
+
+
+def _rebuild(e: Expr, ops) -> Expr:
+    """e with its operands, in `_operands` order, replaced by ops."""
+    if isinstance(e, (Sum, Product)):
+        return type(e)(tuple(ops))
+    if isinstance(e, (Neg, Quot)):
+        return type(e)(*ops)
+    if isinstance(e, Pow):
+        return Pow(ops[0], e.exponent)
+    if isinstance(e, Call):
+        return Call(e.fn, ops[0])
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -401,29 +399,14 @@ def free_symbols(e: Expr) -> tuple[set[str], set[tuple[int, int]]]:
     """Return (named symbols, measurement-derivative indices) used in e."""
     names: set[str] = set()
     wvars: set[tuple[int, int]] = set()
-
-    def walk(x):
+    stack = [e]
+    while stack:
+        x = stack.pop()
         if isinstance(x, Sym):
             names.add(x.name)
         elif isinstance(x, WVar):
             wvars.add((x.i, x.j))
-        elif isinstance(x, Neg):
-            walk(x.arg)
-        elif isinstance(x, Sum):
-            for t in x.terms:
-                walk(t)
-        elif isinstance(x, Product):
-            for f in x.factors:
-                walk(f)
-        elif isinstance(x, Quot):
-            walk(x.num)
-            walk(x.den)
-        elif isinstance(x, Pow):
-            walk(x.base)
-        elif isinstance(x, Call):
-            walk(x.arg)
-
-    walk(e)
+        stack.extend(_operands(x))
     return names, wvars
 
 
@@ -491,6 +474,8 @@ def evaluate(e: Expr, bindings: dict | None = None, wvals: dict | None = None) -
                 return math.cos(a)
             except OverflowError:
                 raise EvalError("overflow in function evaluation", x) from None
+            except ValueError:
+                raise EvalError(f"{x.fn} of {a!r} is undefined", x) from None
         raise ExprError(f"cannot evaluate {x!r}")
 
     out = ev(e)
@@ -517,10 +502,8 @@ def differentiate(e: Expr, var: str) -> Expr:
             return Const(1) if x.name == var else Const(0)
         if isinstance(x, WVar):
             return Const(1) if x.name == var else Const(0)
-        if isinstance(x, Neg):
-            return Neg(d(x.arg))
-        if isinstance(x, Sum):
-            return Sum(tuple(d(t) for t in x.terms))
+        if isinstance(x, (Neg, Sum)):
+            return _rebuild(x, [d(a) for a in _operands(x)])
         if isinstance(x, Product):
             terms = []
             for i in range(len(x.factors)):
@@ -580,21 +563,7 @@ def substitute(e: Expr, repl: dict) -> Expr:
             return by_name.get(x.name, x)
         if isinstance(x, WVar):
             return by_w.get((x.i, x.j), x)
-        if isinstance(x, Const):
-            return x
-        if isinstance(x, Neg):
-            return Neg(sub(x.arg))
-        if isinstance(x, Sum):
-            return Sum(tuple(sub(t) for t in x.terms))
-        if isinstance(x, Product):
-            return Product(tuple(sub(f) for f in x.factors))
-        if isinstance(x, Quot):
-            return Quot(sub(x.num), sub(x.den))
-        if isinstance(x, Pow):
-            return Pow(sub(x.base), x.exponent)
-        if isinstance(x, Call):
-            return Call(x.fn, sub(x.arg))
-        raise ExprError(f"cannot substitute into {x!r}")
+        return _rebuild(x, [sub(a) for a in _operands(x)])
 
     return simplify(sub(e))
 
@@ -605,28 +574,6 @@ def substitute(e: Expr, repl: dict) -> Expr:
 # Bottom-up: fold constants (rationals exactly), flatten nested sums and
 # products, collect like terms by structural equality, cancel shared
 # multiplicative factors across numerator and denominator.
-
-
-def _is_zero(c) -> bool:
-    return c == 0
-
-
-def _cadd(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    return float(a) + float(b)
-
-
-def _cmul(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    return float(a) * float(b)
-
-
-def _cdiv(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction) and b != 0:
-        return a / b
-    return float(a) / float(b)
 
 
 def simplify(e: Expr) -> Expr:
@@ -696,13 +643,13 @@ def _coeff_split(t: Expr):
         return t.value, None
     if isinstance(t, Neg):
         c, key = _coeff_split(t.arg)
-        return _cmul(Fraction(-1), c), key
+        return Fraction(-1) * c, key
     if isinstance(t, Product):
         c = Fraction(1)
         rest = []
         for f in t.factors:
             if isinstance(f, Const):
-                c = _cmul(c, f.value)
+                c = c * f.value
             else:
                 rest.append(f)
         if not rest:
@@ -712,7 +659,7 @@ def _coeff_split(t: Expr):
         return c, Product(tuple(rest))
     if isinstance(t, Quot) and isinstance(t.den, Const) and t.den.value != 0:
         c, key = _coeff_split(t.num)
-        return _cdiv(c, t.den.value), key
+        return c / t.den.value, key
     return Fraction(1), t
 
 
@@ -740,15 +687,15 @@ def _simp_sum(e: Sum) -> Expr:
     for t in flat:
         c, key = _coeff_split(t)
         if key is None:
-            const = _cadd(const, c)
+            const = const + c
         else:
             if key not in coeffs:
                 order.append(key)
                 coeffs[key] = c
             else:
-                coeffs[key] = _cadd(coeffs[key], c)
-    parts = [_coeff_term(coeffs[k], k) for k in order if not _is_zero(coeffs[k])]
-    if not _is_zero(const) or not parts:
+                coeffs[key] = coeffs[key] + c
+    parts = [_coeff_term(coeffs[k], k) for k in order if coeffs[k] != 0]
+    if const != 0 or not parts:
         parts.append(Const(const))
     return parts[0] if len(parts) == 1 else Sum(tuple(parts))
 
@@ -777,12 +724,12 @@ def _simp_mul(e: Expr) -> Expr:
             bad_div = True
             return
         if numside:
-            const = _cmul(const, powed)
+            const = const * powed
         else:
             if powed == 0:
                 bad_div = True
                 return
-            const = _cdiv(const, powed)
+            const = const / powed
 
     def add_factor(b: Expr, k: int):
         for item in factors:
@@ -828,7 +775,7 @@ def _simp_mul(e: Expr) -> Expr:
         elif k < 0:
             den_parts.append(Pow(b, -k) if k < -1 else b)
 
-    c = _cmul(const, Fraction(sign))
+    c = const * Fraction(sign)
     negate = c < 0
     mag = -c if negate else c
     if mag != 1 or not num_parts:
@@ -937,17 +884,9 @@ _PY_NS = {"_exp": math.exp, "_log": math.log, "_sin": math.sin, "_cos": math.cos
 
 
 def _py_args(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, (Neg, Call)):
-        return (e.arg,)
-    if isinstance(e, Sum):
-        return e.terms
-    if isinstance(e, Product):
-        return e.factors
-    if isinstance(e, Quot):  # a negated numerator is emitted by _py_join
-        return (e.num.arg if isinstance(e.num, Neg) else e.num, e.den)
-    if isinstance(e, Pow):
-        return (e.base,)
-    raise ExprError(f"cannot compile {e!r}")
+    if isinstance(e, Quot) and isinstance(e.num, Neg):  # the minus is emitted by _py_join
+        return (e.num.arg, e.den)
+    return _operands(e)
 
 
 def _py_join(e: Expr, parts: list[str]) -> str:

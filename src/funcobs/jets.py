@@ -20,11 +20,12 @@ unbound symbol or an unsupported node raises.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .expr import Call, Const, Expr, ExprError, Neg, Pow, Product, Quot, Sum, Sym
+from .expr import Call, Const, Expr, ExprError, Neg, Pow, Product, Quot, Sum, Sym, _operands
 
 # Largest order whose factorials 0!..(order-1)! are all finite doubles.
 MAX_ORDER = 171
@@ -86,24 +87,17 @@ def _eval(e: Expr, env: dict):
             return env[e.name]
         except KeyError:
             raise ExprError(f"unbound symbol '{e.name}' in jet evaluation") from None
+    args = [_eval(a, env) for a in _operands(e)]
     if isinstance(e, Neg):
-        return -_eval(e.arg, env)
-    if isinstance(e, Sum):
-        acc = _eval(e.terms[0], env)
-        for t in e.terms[1:]:
-            acc = _add(acc, _eval(t, env))
-        return acc
-    if isinstance(e, Product):
-        acc = _eval(e.factors[0], env)
-        for f in e.factors[1:]:
-            acc = _mul(acc, _eval(f, env))
-        return acc
+        return -args[0]
+    if isinstance(e, (Sum, Product)):
+        return functools.reduce(_add if isinstance(e, Sum) else _mul, args)
     if isinstance(e, Quot):
-        return _div(_eval(e.num, env), _eval(e.den, env))
+        return _div(*args)
     if isinstance(e, Pow):
-        return _pow(_eval(e.base, env), e.exponent)
+        return _pow(args[0], e.exponent)
     if isinstance(e, Call):
-        a = _eval(e.arg, env)
+        a = args[0]
         if not isinstance(a, np.ndarray):
             return {"exp": np.exp, "ln": np.log, "sin": np.sin, "cos": np.cos}[e.fn](a)
         return _CALLS[e.fn](a)

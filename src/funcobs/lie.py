@@ -63,11 +63,10 @@ class ObservabilitySet:
     m: int
     table: list[list[Expr]]
 
-    def rows(self, m: int | None = None):
+    def rows(self):
         """Flattened (i, j, expr) rows ordered by derivative order, then output."""
-        m = self.m if m is None else m
         out = []
-        for i in range(m):
+        for i in range(self.m):
             for j, e in enumerate(self.table[i], start=1):
                 out.append((i, j, e))
         return out

@@ -103,8 +103,10 @@ def _rk4_kernel(stage, record, s0, dt: float, n_steps: int, check=None):
     lines, outs = record(s)
     r = [e if e.isidentifier() else f"r{k}" for k, e in enumerate(outs)]
     lines += [f"{a} = {e}" for a, e in zip(r, outs) if a != e]
-    rec = ["try:", *(f"    {ln}" for ln in lines), "except _DOMAIN_ERRORS:", "    return 'evaluation-failure'"]
-    rec = (rec if lines else []) + [f"extend(({', '.join(s + r)}))"]
+    rec = [f"if not ({' and '.join(f'isfinite({x})' for x in s)}):", "    return 'divergence'"]
+    if lines:
+        rec += ["try:", *(f"    {ln}" for ln in lines), "except _DOMAIN_ERRORS:", "    return 'evaluation-failure'"]
+    rec += [f"extend(({', '.join(s + r)}))"]
     if check is not None:
         rec += [f"if abs({r[check]}) > {DIVERGENCE_LIMIT!r}:", "    return 'divergence'"]
     body = [f"{', '.join(s)}, = start", "extend = vals.extend", *rec, "for _ in range(n_steps):", "    try:"]
@@ -116,7 +118,6 @@ def _rk4_kernel(stage, record, s0, dt: float, n_steps: int, check=None):
         body += [f"        k{j}_{i} = {e}" for i, e in enumerate(derivs)]
     body += ["    except _DOMAIN_ERRORS:", "        return 'evaluation-failure'"]
     body += [f"    s{i} = s{i} + h6*(((k1_{i} + 2.0*k2_{i}) + 2.0*k3_{i}) + k4_{i})" for i in range(m)]
-    body += [f"    if not ({' and '.join(f'isfinite({x})' for x in s)}):", "        return 'divergence'"]
     body += [f"    {ln}" for ln in rec]
     src = "def _run(start, vals, n_steps, h2, dt, h6, isfinite):\n" + "\n".join(f"    {ln}" for ln in body)
     ns = {**_PY_NS, "_DOMAIN_ERRORS": _DOMAIN_ERRORS}

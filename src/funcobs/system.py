@@ -10,7 +10,6 @@ design pipeline.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -29,10 +28,9 @@ from .expr import (
     Product,
     Sum,
     Sym,
+    _IDENT,
+    _W_NAME,
 )
-
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_W_LIKE = re.compile(r"w\d+_\d+\Z")
 
 
 class SystemDefError(ValueError):
@@ -42,7 +40,7 @@ class SystemDefError(ValueError):
 def _check_name(name: str, kind: str):
     if not isinstance(name, str) or not _IDENT.match(name):
         raise SystemDefError(f"{kind} name {name!r} is not a valid identifier")
-    if _W_LIKE.match(name):
+    if _W_NAME.match(name):
         raise SystemDefError(
             f"{kind} name {name!r} collides with the measurement-derivative convention"
         )

@@ -30,6 +30,7 @@ from funcobs.expr import (
     substitute,
     to_text,
 )
+from funcobs.expr import _operands, _rebuild
 
 # ---------------------------------------------------------------------------
 # parsing and printing
@@ -150,6 +151,14 @@ def test_evaluate_errors_name_subexpression():
     assert "ln" in str(err.value)
     with pytest.raises(EvalError):
         evaluate(parse("x + y"), {"x": 1.0})  # unbound symbol
+
+
+@pytest.mark.parametrize("fn", ["sin", "cos"])
+def test_evaluate_reports_trig_of_infinity_as_domain_failure(fn):
+    # x*x overflows to inf without raising; math.sin(inf) is a ValueError
+    with pytest.raises(EvalError) as err:
+        evaluate(parse(f"{fn}(x*x)"), {"x": 1e200})
+    assert f"{fn}(x*x)" in str(err.value)
 
 
 def test_evaluate_rejects_nan_binding():
@@ -373,6 +382,14 @@ def test_equivalence_skips_counted():
     assert r.equivalent
 
 
+def test_equivalence_skips_trig_of_infinity():
+    # x*1e308 is inf for |x| > 1.8, about 40% of the box
+    r = equivalent_numeric(parse("sin(x*1e308)"), parse("sin(x*1e308) + 0"), {"x": (-3.0, 3.0)})
+    assert 0 < r.n_skipped < r.n_samples // 2
+    assert r.equivalent
+    assert all("sin of" in msg for msg in r.errors)
+
+
 def test_simplified_form_passes_where_raw_is_undefined():
     # system_equivalence pins each parameter to a one-point interval; pinned
     # at x = 1, the raw quotient is 0/0 at every sample, its simplified form 1.
@@ -440,3 +457,65 @@ def test_py_block_computes_repeats_once_per_slots():
     lines, srcs = _py_block(roots, {})
     assert lines == ["t0 = _exp(a)", "t1 = _exp(c)", "t2 = ((2.0)*a)"]
     assert srcs == ["((t0*t0)+b)", "((t1*t1)+(a*a))", "(t2+t2)", "raw"]
+
+
+# ---------------------------------------------------------------------------
+# operand walker and constant arithmetic
+
+
+@given(small_exprs())
+def test_rebuild_from_operands_is_identity(e):
+    ops = _operands(e)
+    assert _rebuild(e, ops) == e
+    if isinstance(e, (Const, Sym, WVar)):
+        assert ops == ()
+    fresh = [Sym(f"q{k}") for k in range(len(ops))]
+    assert _operands(_rebuild(e, fresh)) == tuple(fresh)
+
+
+# The helpers simplify used before it took Python's own Fraction/float
+# arithmetic, kept as the oracle of that arithmetic.
+def _is_zero(c) -> bool:
+    return c == 0
+
+
+def _cadd(a, b):
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a + b
+    return float(a) + float(b)
+
+
+def _cmul(a, b):
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a * b
+    return float(a) * float(b)
+
+
+def _cdiv(a, b):
+    if isinstance(a, Fraction) and isinstance(b, Fraction) and b != 0:
+        return a / b
+    return float(a) / float(b)
+
+
+CONSTANTS = [
+    Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-5, 2), Fraction(10**400 + 1, 3),
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -2.5,
+]
+
+
+def _outcome(fn, a, b):
+    try:
+        v = fn(a, b)
+    except ArithmeticError as exc:
+        return type(exc)
+    return type(v), repr(v)
+
+
+@pytest.mark.parametrize("a", CONSTANTS, ids=repr)
+def test_native_constant_arithmetic_matches_helpers(a):
+    assert (a != 0) == (not _is_zero(a))
+    for b in CONSTANTS:
+        assert _outcome(lambda x, y: x + y, a, b) == _outcome(_cadd, a, b)
+        assert _outcome(lambda x, y: x * y, a, b) == _outcome(_cmul, a, b)
+        if b != 0:
+            assert _outcome(lambda x, y: x / y, a, b) == _outcome(_cdiv, a, b)

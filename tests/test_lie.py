@@ -1,5 +1,7 @@
 """Derivatives along the flow: hand-derived oracles and trajectory checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,20 @@ def test_observability_set_rows_order():
     rows = os_.rows()
     assert [(i, j) for i, j, _ in rows] == [(0, 1), (0, 2), (1, 1), (1, 2)]
     assert to_text(rows[0][2]) == "theta"
+
+
+# sha256 of the printed order-5 derivative tables of both builtins, pinned
+# when the tables were first written out: it covers `simplify` output at
+# orders that no artifact reaches
+LIE_TABLES_SHA256 = "8329a83afb7359293f552aa778c33a058df595651bff5f850888d295f8594fe0"
+
+
+def test_order5_lie_tables_text_is_pinned():
+    rows = []
+    for sys_ in (builtin_batch_reactor(), builtin_cstr()):
+        rows += [to_text(e) for _, _, e in observability_set(sys_, 5).rows()]
+        rows += [to_text(e) for e in q_derivatives(sys_, 4).Q]
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == LIE_TABLES_SHA256
 
 
 def test_jacobian_rows_batch():

@@ -603,8 +603,8 @@ def _list_rk4(rhs, out, s0, dt, n_steps, zhat_col=None):
                 a + h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
                 for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)
             ]
-            if not all(map(math.isfinite, s)):
-                return rows, "divergence"
+        if not all(map(math.isfinite, s)):
+            return rows, "divergence"
         try:
             outputs = out(s)
         except EvalError:
@@ -881,6 +881,21 @@ def test_linear_start_row_is_checked(zhat0, rows):
         )
         assert chain.meta["event"] == "divergence"
         assert tr.zhat.tolist() == chain.zhat.tolist() == [zhat0]
+
+
+def test_kernel_start_row_is_checked():
+    # a non-finite start ends a kernel rollout before row 0 is recorded, as
+    # it ends the linear route of the same observer
+    lsys = builtin_double_integrator()
+    lobs = design_linear_observer(lsys, [-2.0])
+    x0 = np.array([0.3, -0.2])
+    chain = simulate_coupled(
+        linear_to_system(lsys), linear_observer_to_io(lobs), x0, np.array([math.nan]), 1.0, dt=1e-2
+    )
+    plant = integrate_plant(builtin_batch_reactor(), [X0[0], math.nan, X0[2]], 1.0, dt=1e-2)
+    for tr in (chain, plant):
+        assert tr.meta["event"] == "divergence"
+        assert tr.t.size == tr.x.shape[0] == tr.zhat.size == 0
 
 
 # ---------------------------------------------------------------------------
