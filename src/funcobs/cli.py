@@ -68,6 +68,7 @@ from .system import (
     data_path,
     load_linear_system,
     load_system,
+    write_json,
 )
 
 # after the funcobs modules, so that a run without cached bytecode compiles
@@ -80,6 +81,8 @@ EXIT_UNSTABLE = 3
 EXIT_DIVERGED = 4
 
 DEFAULTS = {"dt": 1e-3, "samples": 100, "seed": 42, "t_final": 10.0}
+# Each report prints the module defaults, not the run's effective values.
+HEADER = "defaults: " + ", ".join(f"{k}={v}" for k, v in DEFAULTS.items())
 
 _INPUT_ERRORS = (
     SystemDefError,
@@ -125,15 +128,6 @@ class RunConfig:
         for nm in ("samples", "m_max", "v_max"):
             if getattr(self, nm) < 1:
                 raise CliInputError(f"--{nm.replace('_', '-')} must be >= 1")
-
-    def header(self) -> str:
-        return (
-            f"defaults: dt={DEFAULTS['dt']}, samples={DEFAULTS['samples']}, "
-            f"seed={DEFAULTS['seed']}, t_final={DEFAULTS['t_final']}"
-        )
-
-    def json_defaults(self) -> dict:
-        return dict(DEFAULTS)
 
 
 def parse_poles(text: str) -> tuple[complex, ...]:
@@ -194,12 +188,6 @@ def _outdir(cfg: RunConfig, default: str | None = None) -> str | None:
     return out
 
 
-def _write_json(path: str, payload: dict):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -212,7 +200,7 @@ def _analysis_payload(cfg: RunConfig, sys_: SystemDef, label: str) -> dict:
     scan = functional_index_candidate(sys_, cfg.v_max, n_samples=cfg.samples, seed=cfg.seed)
     return {
         "report": "analysis",
-        "defaults": cfg.json_defaults(),
+        "defaults": dict(DEFAULTS),
         "system": {"source": label, "n": sys_.n, "p": sys_.p, "target": to_text(sys_.q)},
         "samples": cfg.samples,
         "seed": cfg.seed,
@@ -245,7 +233,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
             "rtol": ver.rtol,
         }
     print("== funcobs analyze ==")
-    print(cfg.header())
+    print(HEADER)
     print(f"system: {label}  (n={sys_.n} states, p={sys_.p} outputs, target {to_text(sys_.q)})")
     print(f"rank table over {cfg.samples} samples (seed {cfg.seed}):")
     for row in payload["rank_table"]:
@@ -278,7 +266,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     if out is not None:
         path = os.path.join(out, "analysis.json")
-        _write_json(path, payload)
+        write_json(path, payload)
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -311,7 +299,7 @@ def _synthesize_nonlinear(cfg: RunConfig) -> tuple[dict, ObserverIO, int]:
     ver, obs, inv = _design(cfg, sys_)
     payload = {
         "report": "synthesis",
-        "defaults": cfg.json_defaults(),
+        "defaults": dict(DEFAULTS),
         "system": {"source": label, "n": sys_.n, "p": sys_.p},
         "mode": "nonlinear",
         "poles": [[p.real, p.imag] for p in cfg.poles],
@@ -321,7 +309,7 @@ def _synthesize_nonlinear(cfg: RunConfig) -> tuple[dict, ObserverIO, int]:
         "invariance": {"max_residual": inv.max_residual, "passed": inv.passed, "rtol": inv.rtol},
     }
     print("== funcobs synthesize ==")
-    print(cfg.header())
+    print(HEADER)
     print(f"system: {label}; psi order v={obs.v}; poles {cfg.poles}")
     print(f"psi verification: max residual {max(ver.residuals):.3e}")
     print(f"alphas (monic coefficients, high to low): {list(obs.alphas.alphas)}")
@@ -340,7 +328,7 @@ def _synthesize_linear(cfg: RunConfig) -> tuple[dict, LinearObserver, int]:
     )
     payload = {
         "report": "synthesis",
-        "defaults": cfg.json_defaults(),
+        "defaults": dict(DEFAULTS),
         "system": {"source": cfg.linear, "n": lsys.n, "p": lsys.p},
         "mode": "linear",
         "poles": [[p.real, p.imag] for p in cfg.poles],
@@ -348,7 +336,7 @@ def _synthesize_linear(cfg: RunConfig) -> tuple[dict, LinearObserver, int]:
         "hurwitz": lobs.alphas.hurwitz,
     }
     print("== funcobs synthesize ==")
-    print(cfg.header())
+    print(HEADER)
     print(f"linear system: {cfg.linear} (n={lsys.n}, p={lsys.p}); order v={lobs.v}")
     print(f"alphas: {list(lobs.alphas.alphas)}")
     for nm in ("A", "B", "C", "D"):
@@ -366,7 +354,7 @@ def cmd_synthesize(cfg: RunConfig) -> int:
     save_observer(obs, obs_path)
     print(f"wrote {obs_path}")
     rep_path = os.path.join(out, "synthesis.json")
-    _write_json(rep_path, payload)
+    write_json(rep_path, payload)
     print(f"wrote {rep_path}")
     return code
 
@@ -433,7 +421,7 @@ def _sim_summary(cfg: RunConfig, trace: SimTrace, alphas, e_init, extra: dict) -
         rate, note = None, str(exc)
     summary = {
         "report": "simulation",
-        "defaults": cfg.json_defaults(),
+        "defaults": dict(DEFAULTS),
         "dt": cfg.dt,
         "t_final": cfg.t_final,
         "event": trace.meta.get("event"),
@@ -510,7 +498,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise CliInputError("--observer is required")
     obs = load_observer(cfg.observer)
     print("== funcobs simulate ==")
-    print(cfg.header())
+    print(HEADER)
     if isinstance(obs, LinearObserver):
         if cfg.linear is None:
             raise CliInputError(
@@ -525,7 +513,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     trace_path = os.path.join(out, "trace.csv")
     write_csv(trace, trace_path)
     sum_path = os.path.join(out, "summary.json")
-    _write_json(sum_path, summary)
+    write_json(sum_path, summary)
     print(f"wrote {trace_path}")
     print(f"wrote {sum_path}")
     event = trace.meta.get("event")
@@ -600,30 +588,28 @@ def _demo_linear(cfg: RunConfig):
 
 
 def cmd_demo(cfg: RunConfig) -> int:
-    if cfg.demo not in _DEMOS:
-        raise CliInputError(f"unknown demo '{cfg.demo}' (known: {', '.join(_DEMOS)})")
     preset = dict(_DEMOS[cfg.demo])
     if "psi" in preset:
         preset["psi"] = str(data_path(preset["psi"]))
     cfg = replace(cfg, **preset)
     out = _outdir(cfg, default=f"funcobs-demo-{cfg.demo}")
     print(f"== funcobs demo {cfg.demo} ==")
-    print(cfg.header())
+    print(HEADER)
     stages = _demo_linear if cfg.demo == "linear" else _demo_chain
     obs, trace, summary, fields = stages(cfg)
     _print_sim_summary(summary)
     if "analysis" in fields:
-        _write_json(os.path.join(out, "analysis.json"), fields["analysis"])
+        write_json(os.path.join(out, "analysis.json"), fields["analysis"])
     save_observer(obs, os.path.join(out, "observer.json"))
     write_csv(trace, os.path.join(out, "trace.csv"))
     report = {
         "report": "demo",
         "demo": cfg.demo,
-        "defaults": cfg.json_defaults(),
+        "defaults": dict(DEFAULTS),
         **fields,
         "simulation": summary,
     }
-    _write_json(os.path.join(out, "report.json"), report)
+    write_json(os.path.join(out, "report.json"), report)
     print(f"wrote artifacts to {out}")
     return EXIT_DIVERGED if trace.meta.get("event") else EXIT_OK
 
@@ -632,83 +618,53 @@ def cmd_demo(cfg: RunConfig) -> int:
 # argument wiring
 
 
+_COMMANDS = {
+    "analyze": cmd_analyze,
+    "synthesize": cmd_synthesize,
+    "simulate": cmd_simulate,
+    "demo": cmd_demo,
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="funcobs",
         description="Local functional observability analysis and observer synthesis",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, system=True):
-        if system:
-            p.add_argument("system", nargs="?", help="system JSON file")
-            p.add_argument("--builtin", help="builtin system name")
-        p.add_argument("--samples", type=int, default=DEFAULTS["samples"])
-        p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-        p.add_argument("--out", help="output directory")
-
     pa = sub.add_parser("analyze", help="observability and functional-index report")
-    common(pa)
-    pa.add_argument("--m-max", type=int, default=6, dest="m_max")
-    pa.add_argument("--v-max", type=int, default=3, dest="v_max")
+    ps = sub.add_parser("synthesize", help="design an observer")
+    pm = sub.add_parser("simulate", help="coupled plant/observer rollout")
+    pd = sub.add_parser("demo", help="bundled end-to-end runs")
+    pd.add_argument("demo", metavar="name", choices=_DEMOS)
+    for p in (pa, ps, pm):
+        p.add_argument("system", nargs="?", help="system JSON file")
+        p.add_argument("--builtin", help="builtin system name")
+    for p in (pa, ps, pm, pd):
+        p.add_argument("--samples", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out", help="output directory")
+    for p in (pa, pd):
+        p.add_argument("--v-max", type=int)
+    # the one default that differs from RunConfig's
+    ps.add_argument("--v-max", type=int, default=5)
+    for p in (pm, pd):
+        p.add_argument("--dt", type=float)
+        p.add_argument("--t-final", type=float)
+
+    pa.add_argument("--m-max", type=int)
     pa.add_argument("--psi", help="psi JSON to verify against the system")
 
-    ps = sub.add_parser("synthesize", help="design an observer")
-    common(ps)
     ps.add_argument("--psi", help="psi JSON (nonlinear route)")
     ps.add_argument("--linear", help="linear system JSON (matrix route)")
     ps.add_argument("--poles", help="comma list; complex as a+bi")
-    ps.add_argument("--v-max", type=int, default=5, dest="v_max")
-    ps.add_argument("--allow-unstable", action="store_true")
+    ps.add_argument("--allow-unstable", action="store_true", default=None)
 
-    pm = sub.add_parser("simulate", help="coupled plant/observer rollout")
-    common(pm)
     pm.add_argument("--observer", help="observer JSON from synthesize")
     pm.add_argument("--linear", help="linear system JSON (for realized observers)")
     pm.add_argument("--x0", help="comma list of initial plant states")
-    pm.add_argument("--init", default="exact", help="exact | offset=<r> | explicit=<list>")
-    pm.add_argument("--dt", type=float, default=DEFAULTS["dt"])
-    pm.add_argument("--t-final", type=float, default=DEFAULTS["t_final"], dest="t_final")
-
-    pd = sub.add_parser("demo", help="bundled end-to-end runs")
-    pd.add_argument("name", choices=["batch", "cstr", "linear"])
-    pd.add_argument("--samples", type=int, default=DEFAULTS["samples"])
-    pd.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-    pd.add_argument("--dt", type=float, default=DEFAULTS["dt"])
-    pd.add_argument("--t-final", type=float, default=DEFAULTS["t_final"], dest="t_final")
-    pd.add_argument("--out", help="output directory")
-    pd.add_argument("--v-max", type=int, default=3, dest="v_max")
+    pm.add_argument("--init", help="exact | offset=<r> | explicit=<list>")
     return ap
-
-
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    kw = {"command": ns.command}
-    for nm in (
-        "system",
-        "builtin",
-        "psi",
-        "linear",
-        "observer",
-        "samples",
-        "seed",
-        "m_max",
-        "v_max",
-        "dt",
-        "t_final",
-        "allow_unstable",
-        "out",
-    ):
-        if hasattr(ns, nm) and getattr(ns, nm) is not None:
-            kw[nm] = getattr(ns, nm)
-    if getattr(ns, "poles", None):
-        kw["poles"] = parse_poles(ns.poles)
-    if getattr(ns, "x0", None):
-        kw["x0"] = parse_floats(ns.x0)
-    if getattr(ns, "init", None):
-        kw["init"] = parse_init(ns.init)
-    if ns.command == "demo":
-        kw["demo"] = ns.name
-    return RunConfig(**kw)
 
 
 def main(argv=None) -> int:
@@ -716,17 +672,13 @@ def main(argv=None) -> int:
         ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # each dest is a RunConfig field; an option not given is None and keeps its default
+    given = {k: v for k, v in vars(ns).items() if v is not None}
     try:
-        cfg = _config_from_args(ns)
-        if cfg.command == "analyze":
-            return cmd_analyze(cfg)
-        if cfg.command == "synthesize":
-            return cmd_synthesize(cfg)
-        if cfg.command == "simulate":
-            return cmd_simulate(cfg)
-        if cfg.command == "demo":
-            return cmd_demo(cfg)
-        raise CliInputError(f"unknown command '{cfg.command}'")
+        for nm, convert in (("poles", parse_poles), ("x0", parse_floats), ("init", parse_init)):
+            if nm in given:
+                given[nm] = convert(given[nm])
+        return _COMMANDS[ns.command](RunConfig(**given))
     except UnstablePolesError as exc:
         print(f"error: {exc}")
         return EXIT_UNSTABLE

@@ -303,6 +303,8 @@ class _Parser:
 
 def parse(text: str) -> Expr:
     """Parse an expression string into a tree (no simplification)."""
+    if not isinstance(text, str):
+        raise ParseError(f"expected an expression string, got {type(text).__name__}", repr(text), 0)
     return _Parser(text).parse()
 
 
@@ -426,7 +428,10 @@ def evaluate(e: Expr, bindings: dict | None = None, wvals: dict | None = None) -
 
     def ev(x) -> float:
         if isinstance(x, Const):
-            return float(x.value)
+            try:
+                return float(x.value)
+            except OverflowError:
+                raise EvalError("constant outside the double range", x) from None
         if isinstance(x, Sym):
             try:
                 return float(bindings[x.name])
@@ -580,7 +585,11 @@ def simplify(e: Expr) -> Expr:
     """Simplified form of e.  Common factors cancel (x/x, (x-1)/(x-1) -> 1;
     0*ln(x) -> 0), so the result may be defined where e is not: checks on
     the simplified form can pass at points where e fails to evaluate."""
-    return _simp(e)
+    try:
+        return _simp(e)
+    except OverflowError:
+        # folding an exact constant past the double range into a float one
+        raise ExprError(f"a constant in '{e}' is outside the double range") from None
 
 
 def _simp(e: Expr) -> Expr:

@@ -31,7 +31,7 @@ from .expr import (
 )
 from .jets import MAX_ORDER, flow_derivatives
 from .lie import observability_set, q_derivatives
-from .system import SystemDef, system_equivalence
+from .system import SystemDef, system_equivalence, write_json
 
 RANK_RTOL = 1e-9
 RANK_FLOOR = 1e-12
@@ -145,8 +145,7 @@ def state_observability_rank(
     sys: SystemDef, m: int, n_samples: int = 100, seed: int = 42
 ) -> RankReport:
     """Rank of the stacked output-derivative gradients at sampled points."""
-    J, _, failed = _gradient_stacks(sys, m, n_samples, seed)
-    return _rank_report(m, numeric_ranks(J).tolist(), failed, sys.n)
+    return observability_index(sys, m, n_samples, seed)[1][-1]
 
 
 def observability_index(
@@ -310,9 +309,7 @@ def load_psi(path) -> PsiRepresentation:
 
 
 def save_psi(rep: PsiRepresentation, path):
-    with open(path, "w") as fh:
-        json.dump({"v": rep.v, "psi": [to_text(e) for e in rep.psi]}, fh, indent=2)
-        fh.write("\n")
+    write_json(path, {"v": rep.v, "psi": [to_text(e) for e in rep.psi]})
 
 
 def _check_psi_against_system(sys: SystemDef, e: Expr, label: str):

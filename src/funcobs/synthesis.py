@@ -23,7 +23,7 @@ import numpy as np
 from .expr import Const, Expr, Product, Sum, WVar, parse, simplify, substitute, to_text
 from .lie import observability_set, q_derivatives
 from .observability import PsiRepresentation, numeric_rank
-from .system import LinearSystemDef, SystemDef, system_equivalence
+from .system import LinearSystemDef, SystemDef, system_equivalence, write_json
 
 
 class SynthesisError(ValueError):
@@ -360,9 +360,7 @@ def linear_error_init(lsys: LinearSystemDef, lobs: LinearObserver, x0, xi0) -> n
 
 
 def save_observer(obs, path):
-    with open(path, "w") as fh:
-        json.dump(obs.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, obs.to_dict())
 
 
 def load_observer(path):

@@ -137,13 +137,23 @@ def _validate(sys: SystemDef):
             raise SystemDefError(f"box interval for {nm!r} must satisfy lo < hi")
 
 
-def load_system(path) -> SystemDef:
+def write_json(path, payload):
+    """Write a JSON artifact: two-space indent and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def _read_json(path):
     with open(path) as fh:
         try:
-            raw = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SystemDefError(f"{path}: invalid JSON ({exc})") from None
-    return system_from_dict(raw)
+
+
+def load_system(path) -> SystemDef:
+    return system_from_dict(_read_json(path))
 
 
 def system_from_dict(raw: dict) -> SystemDef:
@@ -161,9 +171,7 @@ def system_from_dict(raw: dict) -> SystemDef:
 
 
 def save_system(sys: SystemDef, path):
-    with open(path, "w") as fh:
-        json.dump(sys.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, sys.to_dict())
 
 
 def system_equivalence(
@@ -280,11 +288,7 @@ class LinearSystemDef:
 
 
 def load_linear_system(path) -> LinearSystemDef:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SystemDefError(f"{path}: invalid JSON ({exc})") from None
+    raw = _read_json(path)
     for key in ("F", "H", "q"):
         if key not in raw:
             raise SystemDefError(f"missing key '{key}' in linear system definition")
@@ -292,13 +296,7 @@ def load_linear_system(path) -> LinearSystemDef:
 
 
 def save_linear_system(lsys: LinearSystemDef, path):
-    with open(path, "w") as fh:
-        json.dump(
-            {"F": lsys.F.tolist(), "H": lsys.H.tolist(), "q": lsys.q.tolist()},
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    write_json(path, {"F": lsys.F.tolist(), "H": lsys.H.tolist(), "q": lsys.q.tolist()})
 
 
 def _linear_row(coefs, names) -> Expr:

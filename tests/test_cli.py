@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, artifacts, determinism, schemas."""
 
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,6 +13,8 @@ import pytest
 import funcobs
 from funcobs.cli import (
     CliInputError,
+    RunConfig,
+    _build_parser,
     data_path,
     main,
     parse_floats,
@@ -54,6 +58,40 @@ def test_parse_floats():
     assert parse_floats("1,0.2,0") == (1.0, 0.2, 0.0)
     with pytest.raises(CliInputError):
         parse_floats("1,zz")
+
+
+# the option strings each subcommand takes, besides -h/--help
+COMMAND_OPTIONS = {
+    "analyze": "--builtin --m-max --out --psi --samples --seed --v-max",
+    "synthesize": "--allow-unstable --builtin --linear --out --poles --psi --samples --seed --v-max",
+    "simulate": "--builtin --dt --init --linear --observer --out --samples --seed --t-final --x0",
+    "demo": "--dt --out --samples --seed --t-final --v-max",
+}
+
+
+def _subparsers() -> dict:
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_each_command_takes_its_options():
+    commands = _subparsers()
+    assert sorted(commands) == sorted(COMMAND_OPTIONS)
+    for name, parser in commands.items():
+        found = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert found == set(COMMAND_OPTIONS[name].split()), name
+
+
+def test_parser_defaults_live_in_run_config():
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    for name, parser in _subparsers().items():
+        for action in parser._actions:
+            if action.dest == "help":
+                continue
+            assert action.dest in fields, (name, action.dest)
+            # synthesize searches for an observer order past RunConfig's v_max
+            want = 5 if (name, action.dest) == ("synthesize", "v_max") else None
+            assert action.default == want, (name, action.dest)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +174,24 @@ def test_analyze_requires_some_system(capsys):
 
 def test_unknown_builtin_exit_2(capsys):
     assert main(["analyze", "--builtin", "pendulum"]) == 2
+
+
+def test_psi_constant_past_double_range_exit_2(tmp_path, capsys):
+    psi = tmp_path / "psi.json"
+    psi.write_text(json.dumps({"v": 1, "psi": ["10^400*0.5*w0_1", "w1_1"]}))
+    assert main(["analyze", "--builtin", "batch-reactor", "--psi", str(psi)]) == 2
+    assert "error: a constant in" in capsys.readouterr().out
+
+
+def test_non_string_expression_in_a_file_exit_2(tmp_path, capsys):
+    raw = builtin_batch_reactor().to_dict()
+    raw["q"] = 1
+    sys_path, psi_path = tmp_path / "sys.json", tmp_path / "psi.json"
+    sys_path.write_text(json.dumps(raw))
+    psi_path.write_text(json.dumps({"v": 1, "psi": ["x", 3]}))
+    for args in ([str(sys_path)], ["--builtin", "batch-reactor", "--psi", str(psi_path)]):
+        assert main(["analyze", *args]) == 2
+        assert "error: expected an expression string, got int" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +456,19 @@ def test_simulate_explicit_init_wrong_length_exit_2(tmp_path):
 
 def test_simulate_requires_observer(tmp_path):
     assert main(["simulate", "--builtin", "batch-reactor", "--x0", "1,0.2,0.1"]) == 2
+
+
+def test_simulate_empty_init_exit_2(tmp_path, capsys):
+    obs = _synth(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    rc = main(
+        ["simulate", "--builtin", "batch-reactor", "--observer", str(obs), "--x0=1,0.2,0.1",
+         "--init=", "--out", str(out)]
+    )
+    assert rc == 2
+    assert "error: --init must be" in capsys.readouterr().out
+    assert not out.exists()
 
 
 BATCH_X0 = ["--builtin", "batch-reactor", "--x0=1,0.2,0.1"]

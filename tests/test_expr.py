@@ -116,6 +116,13 @@ def test_w_names_reserved():
     assert wvars == {(3, 2)}
 
 
+@pytest.mark.parametrize("value", [3, 0.5, None, ["x"]], ids=repr)
+def test_parse_rejects_non_string(value):
+    # a JSON number or list where a file declares an expression
+    with pytest.raises(ParseError, match="expected an expression string"):
+        parse(value)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -164,6 +171,11 @@ def test_evaluate_reports_trig_of_infinity_as_domain_failure(fn):
 def test_evaluate_rejects_nan_binding():
     with pytest.raises(EvalError):
         evaluate(parse("x"), {"x": float("nan")})
+
+
+def test_evaluate_reports_constant_past_double_range():
+    with pytest.raises(EvalError, match="constant outside the double range"):
+        evaluate(simplify(parse("10^400*x")), {"x": 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +276,14 @@ SIMPLIFY_CASES = [
 @pytest.mark.parametrize("text,expected", SIMPLIFY_CASES)
 def test_simplify_frozen_forms(text, expected):
     assert to_text(simplify(parse(text))) == expected
+
+
+@pytest.mark.parametrize("text", ["10^400*0.5*x", "10^400 + 0.5", "x*10^400 + 0.5*x"])
+def test_simplify_reports_constant_past_double_range(text):
+    # an exact rational past the double range meets a float constant
+    with pytest.raises(ExprError, match="outside the double range") as err:
+        simplify(parse(text))
+    assert f"'{text}'" in str(err.value)
 
 
 @st.composite
