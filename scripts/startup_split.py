@@ -4,9 +4,12 @@
 Times fresh interpreters running `-c pass`, `-c "import numpy"` and
 `-c "import funcobs.cli"`, interleaved round by round so that drift of the
 machine's speed falls on all three alike, and prints one JSON line: the
-median wall and user+sys seconds of each, and the number of threads the
-process holds after `import funcobs.cli` (null where /proc/self/task does
-not exist).  funcobs is imported from this checkout's src/; the thread
+median wall and user+sys seconds and the median max RSS (MB) of each, and
+the number of threads the process holds after `import funcobs.cli` (null
+where /proc/self/task does not exist).  Max RSS is what `os.wait4` reports,
+as perfbench measures it; on Linux a child inherits the RSS of the process
+that spawns it as a floor, so run the script on its own, not from a larger
+process.  funcobs is imported from this checkout's src/; the thread
 variables of the calling environment pass through, so
 
     OPENBLAS_NUM_THREADS=2 python scripts/startup_split.py --runs 25
@@ -37,8 +40,8 @@ def _env() -> dict:
     return env
 
 
-def run_once(code: str, env: dict) -> tuple[float, float]:
-    """(wall, user+sys) seconds of one fresh interpreter running code."""
+def run_once(code: str, env: dict) -> tuple[float, float, float]:
+    """(wall s, user+sys s, max RSS MB) of one fresh interpreter running code."""
     t0 = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.DEVNULL)
     _, status, ru = os.wait4(proc.pid, 0)
@@ -46,7 +49,7 @@ def run_once(code: str, env: dict) -> tuple[float, float]:
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
     if proc.returncode != 0:
         raise SystemExit(f"python -c {code!r} failed")
-    return wall, ru.ru_utime + ru.ru_stime
+    return wall, ru.ru_utime + ru.ru_stime, ru.ru_maxrss / 1024.0
 
 
 def startup_split(runs: int) -> dict:
@@ -61,8 +64,9 @@ def startup_split(runs: int) -> dict:
         "runs": runs,
         **{
             name: {
-                "wall_s": round(statistics.median(w for w, _ in s), 4),
-                "cpu_s": round(statistics.median(c for _, c in s), 4),
+                "wall_s": round(statistics.median(w for w, _, _ in s), 4),
+                "cpu_s": round(statistics.median(c for _, c, _ in s), 4),
+                "max_rss_mb": round(statistics.median(r for _, _, r in s), 2),
             }
             for name, s in samples.items()
         },

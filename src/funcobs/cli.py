@@ -128,6 +128,8 @@ class RunConfig:
         for nm in ("samples", "m_max", "v_max"):
             if getattr(self, nm) < 1:
                 raise CliInputError(f"--{nm.replace('_', '-')} must be >= 1")
+        if self.seed < 0:
+            raise CliInputError("--seed must be >= 0")
 
 
 def parse_poles(text: str) -> tuple[complex, ...]:

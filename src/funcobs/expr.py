@@ -13,11 +13,10 @@ canonical, so identity checking goes through `equivalent_numeric`.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 FUNCTIONS = ("exp", "ln", "sin", "cos")
 
@@ -800,6 +799,86 @@ def _simp_mul(e: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# seeded samples
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_start(seed: int) -> tuple[int, int]:
+    """(state, increment) of numpy's PCG64(SeedSequence(seed)).
+
+    SeedSequence mixes the seed's 32-bit words into a pool of four and
+    draws four 64-bit words from it: the initial state and the stream.
+    PCG64 then seeds with two steps (O'Neill, HMC-CS-2014-0905)."""
+    seed = operator.index(seed)  # a numpy integer would wrap in the products below
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    words = [seed & _M32]
+    while seed := seed >> 32:
+        words.append(seed & _M32)
+
+    def hasher(h: int, mult: int):
+        def hash32(value: int) -> int:
+            nonlocal h
+            value ^= h
+            h = h * mult & _M32
+            value = value * h & _M32
+            return value ^ value >> 16
+
+        return hash32
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    draw = hasher(0x8B51F9DD, 0x58F38DED)
+    out = [draw(pool[i % 4]) for i in range(8)]
+    w64 = [out[k] | out[k + 1] << 32 for k in range(0, 8, 2)]
+    inc = (w64[2] << 65 | w64[3] << 1 | 1) & _M128
+    state = ((inc + (w64[0] << 64 | w64[1])) * _PCG_MULT + inc) & _M128
+    return state, inc
+
+
+def seeded_uniform(seed: int, bounds, n: int) -> list[list[float]]:
+    """n uniform draws on each (lo, hi) of bounds, one column per interval,
+    drawn in order from one stream: bit for bit the columns of
+    `numpy.random.default_rng(seed).uniform(lo, hi, size=n)` called on
+    each interval in turn, without loading numpy.random.  Each draw is
+    lo + (hi - lo) * u with u the top 53 bits of a PCG64 XSL-RR output
+    over 2**53.  A negative seed raises ValueError, as numpy does, and so
+    does hi < lo; a non-finite hi - lo raises OverflowError."""
+    state, inc = _pcg64_start(seed)
+    mult, m64, m128, unit = _PCG_MULT, _M64, _M128, 2.0**-53
+    cols = []
+    for lo, hi in bounds:
+        lo, hi = float(lo), float(hi)
+        span = hi - lo
+        if not math.isfinite(span):
+            raise OverflowError(f"interval [{lo!r}, {hi!r}] is wider than the double range")
+        if span < 0:
+            raise ValueError(f"interval [{lo!r}, {hi!r}] has hi < lo")
+        col = []
+        append = col.append
+        for _ in range(n):
+            state = (state * mult + inc) & m128
+            x = ((state >> 64) ^ state) & m64
+            rot = state >> 122
+            append(lo + span * (((((x >> rot) | (x << (64 - rot))) & m64) >> 11) * unit))
+        cols.append(col)
+    return cols
+
+
+# ---------------------------------------------------------------------------
 # numeric equivalence
 
 
@@ -840,11 +919,7 @@ def equivalent_numeric(
     if missing:
         raise ExprError(f"box does not cover variable(s) {missing}")
 
-    rng = np.random.default_rng(seed)
-    cols = {}
-    for nm in names:
-        lo, hi = box[nm]
-        cols[nm] = rng.uniform(float(lo), float(hi), size=n)
+    cols = dict(zip(names, seeded_uniform(seed, (box[nm] for nm in names), n)))
 
     max_res = 0.0
     worst_point = None
@@ -853,7 +928,7 @@ def equivalent_numeric(
     errors: list[str] = []
     ok = True
     for k in range(n):
-        point = {nm: float(cols[nm][k]) for nm in names}
+        point = {nm: cols[nm][k] for nm in names}
         try:
             v1 = evaluate(e1, point)
             v2 = evaluate(e2, point)

@@ -25,6 +25,7 @@ from .expr import (
     differentiate,
     free_symbols,
     parse,
+    seeded_uniform,
     simplify,
     substitute,
     to_text,
@@ -61,12 +62,7 @@ def numeric_ranks(stack: np.ndarray) -> np.ndarray:
 
 def sample_states(sys: SystemDef, n_samples: int, seed: int) -> np.ndarray:
     """Deterministic uniform samples of the system box, one state per column."""
-    rng = np.random.default_rng(seed)
-    cols = []
-    for nm in sys.state_names:
-        lo, hi = sys.box[nm]
-        cols.append(rng.uniform(lo, hi, size=n_samples))
-    return np.column_stack(cols)
+    return np.column_stack(seeded_uniform(seed, (sys.box[nm] for nm in sys.state_names), n_samples))
 
 
 @dataclass
@@ -137,7 +133,17 @@ def _gradient_stacks(
         ok &= np.isfinite(G).all(axis=(1, 2))
         G = G[ok]
     if not ok.any():
-        raise ObservabilityError("all sample points failed to evaluate")
+        checked = np.zeros(d.shape[1:3], dtype=bool)  # (order, expression) pairs tested
+        checked[:m, : sys.p] = True
+        if v is not None:
+            checked[: v + 1, sys.p] = True
+        k, j = np.argwhere(checked & ~np.isfinite(d[0, :, :, 1:]).all(axis=2))[0]
+        point = ", ".join(f"{nm}={x!r}" for nm, x in zip(sys.state_names, pts[0].tolist()))
+        what = f"output h[{j}]" if j < sys.p else "the target q"
+        raise ObservabilityError(
+            f"all {len(pts)} sample points failed to evaluate; at the first ({point}) "
+            f"the gradient of the order-{k} derivative of {what} is not finite"
+        )
     return J[ok], G, int(np.count_nonzero(~ok))
 
 

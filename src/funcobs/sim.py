@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +96,8 @@ def _rk4_kernel(stage, record, s0, dt: float, n_steps: int, check=None):
     "evaluation-failure", that row unrecorded; a non-finite state ends it
     as "divergence" before it is recorded, as does a recorded output
     `check` above DIVERGENCE_LIMIT in magnitude after it.  Returns
-    (table, event), one table row per recorded row.
+    (table, event), one table row per recorded row; the rows are collected
+    as raw doubles and the table is a view of them, not a copy.
     """
     m = len(s0)
     s = [f"s{i}" for i in range(m)]
@@ -122,9 +124,9 @@ def _rk4_kernel(stage, record, s0, dt: float, n_steps: int, check=None):
     src = "def _run(start, vals, n_steps, h2, dt, h6, isfinite):\n" + "\n".join(f"    {ln}" for ln in body)
     ns = {**_PY_NS, "_DOMAIN_ERRORS": _DOMAIN_ERRORS}
     exec(compile(src, "<rk4-kernel>", "exec"), ns)
-    vals = []
+    vals = array("d")
     event = ns["_run"]([float(v) for v in s0], vals, n_steps, 0.5 * dt, dt, dt / 6.0, math.isfinite)
-    return np.fromiter(vals, float, len(vals)).reshape(-1, m + len(outs)), event
+    return np.frombuffer(vals, float).reshape(-1, m + len(outs)), event
 
 
 def _rollout(sys: SystemDef, stage, s0, dt, n_steps, zhat=None):
@@ -408,22 +410,22 @@ def write_csv(trace: SimTrace, path):
     so only one block at a time is held as Python floats, and a column
     whose bits repeat another's (an output that is a state, say) is
     formatted once."""
-    n = trace.x.shape[1]
-    p = trace.y.shape[1] if trace.y.ndim == 2 else 1
-    cols = (
+    y = trace.y if trace.y.ndim == 2 else trace.y[:, None]
+    header = (
         ["t"]
-        + [f"x{i+1}" for i in range(n)]
-        + [f"y{j+1}" for j in range(p)]
+        + [f"x{i+1}" for i in range(trace.x.shape[1])]
+        + [f"y{j+1}" for j in range(y.shape[1])]
         + ["z", "zhat", "err"]
     )
-    table = np.column_stack((trace.t, trace.x, trace.y, trace.z, trace.zhat, trace.err))
-    seen = {}  # column bytes -> its place among the columns formatted
-    of_col = [seen.setdefault(col.tobytes(), len(seen)) for col in table.T]
-    distinct = [of_col.index(i) for i in range(len(seen))]
+    cols = [np.asarray(c, dtype=float) for c in (trace.t, *trace.x.T, *y.T, trace.z, trace.zhat, trace.err)]
+    bits = [c.view(np.int64) for c in cols]
+    # the first column with a column's bits stands for it
+    first = [next(i for i, d in enumerate(bits) if np.array_equal(d, b)) for b in bits]
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for start in range(0, table.shape[0], _CSV_BLOCK):
-            block = table[start : start + _CSV_BLOCK, distinct]
-            fmt = "%.17g\n" * block.shape[0]
-            text = [(fmt % tuple(col)).split("\n")[:-1] for col in block.T.tolist()]
-            fh.write("\n".join(map(",".join, zip(*(text[i] for i in of_col)))) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(cols[0]), _CSV_BLOCK):
+            text = {}
+            for i in set(first):
+                block = cols[i][start : start + _CSV_BLOCK].tolist()
+                text[i] = (("%.17g\n" * len(block)) % tuple(block)).split("\n")[:-1]
+            fh.write("\n".join(map(",".join, zip(*(text[i] for i in first)))) + "\n")

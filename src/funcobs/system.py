@@ -135,6 +135,8 @@ def _validate(sys: SystemDef):
         lo, hi = sys.box[nm]
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise SystemDefError(f"box interval for {nm!r} must satisfy lo < hi")
+        if not np.isfinite(hi - lo):
+            raise SystemDefError(f"box interval for {nm!r} is wider than the double range")
 
 
 def write_json(path, payload):
@@ -160,6 +162,8 @@ def system_from_dict(raw: dict) -> SystemDef:
     for key in ("states", "f", "h", "q", "box"):
         if key not in raw:
             raise SystemDefError(f"missing key '{key}' in system definition")
+        if key in ("states", "f", "h") and not isinstance(raw[key], (list, tuple)):
+            raise SystemDefError(f"'{key}' in system definition must be a list")
     return SystemDef(
         state_names=tuple(raw["states"]),
         params={k: float(v) for k, v in raw.get("params", {}).items()},

@@ -194,6 +194,42 @@ def test_non_string_expression_in_a_file_exit_2(tmp_path, capsys):
         assert "error: expected an expression string, got int" in capsys.readouterr().out
 
 
+def test_negative_seed_exit_2(capsys):
+    with pytest.raises(CliInputError, match="--seed must be >= 0"):
+        RunConfig(command="analyze", seed=-1)
+    assert main(["analyze", "--builtin", "batch-reactor", "--seed", "-1"]) == 2
+    assert "error: --seed must be >= 0" in capsys.readouterr().out
+
+
+def test_box_wider_than_the_double_range_exit_2(tmp_path, capsys):
+    raw = builtin_batch_reactor().to_dict()
+    raw["box"]["cA"] = [-1e308, 1e308]
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(raw))
+    assert main(["analyze", str(path)]) == 2
+    assert "error: box interval for 'cA' is wider than the double range" in capsys.readouterr().out
+
+
+def test_states_given_as_a_string_exit_2(tmp_path, capsys):
+    raw = {"states": "xy", "f": ["-x", "-y"], "h": ["x"], "q": "y", "box": {"x": [0, 1], "y": [0, 1]}}
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(raw))
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "error: 'states' in system definition must be a list" in capsys.readouterr().out
+    assert not (tmp_path / "out" / "analysis.json").exists()
+
+
+def test_all_samples_failing_exit_2(tmp_path, capsys):
+    raw = builtin_batch_reactor().to_dict()
+    raw["f"][0] = "-10^400*k1*cA/10^400"
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(raw))
+    assert main(["analyze", str(path), "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert "error: all 100 sample points failed to evaluate; at the first (cA=" in out
+    assert "the gradient of the order-2 derivative of output h[0] is not finite" in out
+
+
 # ---------------------------------------------------------------------------
 # synthesize
 
@@ -673,6 +709,23 @@ def test_package_reexports_cli_names():
     assert funcobs.builtin_double_integrator().n == 2
     with pytest.raises(AttributeError):
         funcobs.no_such_name
+
+
+SAMPLING_RUNS_CODE = (
+    "import sys; from funcobs.cli import main; out, psi = sys.argv[1:]; "
+    "codes = [main(['analyze', '--builtin', 'cstr', '--out', out + '/a']), "
+    "main(['synthesize', '--builtin', 'batch-reactor', '--psi', psi, '--poles=-1', '--out', out + '/s']), "
+    "main(['demo', 'batch', '--t-final', '0.5', '--out', out + '/d'])]; "
+    "print(codes, 'numpy.random' in sys.modules, '_hashlib' in sys.modules)"
+)
+
+
+def test_sampling_runs_leave_numpy_random_out(tmp_path):
+    # the seeded samples come from funcobs.expr.seeded_uniform, which needs
+    # neither numpy.random nor the OpenSSL hashes its seeding imports
+    proc = _run_python("-c", SAMPLING_RUNS_CODE, str(tmp_path), PSI_BATCH)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False False"
 
 
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")

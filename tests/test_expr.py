@@ -26,6 +26,7 @@ from funcobs.expr import (
     evaluate,
     free_symbols,
     parse,
+    seeded_uniform,
     simplify,
     substitute,
     to_text,
@@ -420,6 +421,42 @@ def test_simplified_form_passes_where_raw_is_undefined():
     r = equivalent_numeric(simplify(raw), parse("1 + y"), box)
     assert r.equivalent
     assert r.n_skipped == 0
+
+
+# ---------------------------------------------------------------------------
+# seeded samples
+
+SAMPLER_SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 7, 2**130 + 17]  # the last has five 32-bit words
+SAMPLER_BOXES = [
+    [(0.05, 2.0)],
+    [(-3.0, -1.0), (-2.0, 2.0), (0.5, 1.5)],
+    [(1.0, 1.0 + 1e-12), (-1e-300, 1e-300), (7.0, 7.0)],
+]
+
+
+@pytest.mark.parametrize("seed", SAMPLER_SEEDS)
+def test_seeded_uniform_is_numpys_stream(seed):
+    # numpy is the oracle here only; funcobs draws without numpy.random
+    import numpy as np
+
+    for bounds in SAMPLER_BOXES:
+        for n in (0, 1, 7, 1000):
+            rng = np.random.default_rng(seed)
+            expected = [rng.uniform(lo, hi, size=n) for lo, hi in bounds]
+            got = seeded_uniform(seed, bounds, n)
+            assert len(got) == len(bounds)
+            for col, ref in zip(got, expected):
+                assert all(type(x) is float for x in col)
+                assert np.array(col, dtype=float).tobytes() == ref.tobytes()
+
+
+def test_seeded_uniform_refusals():
+    with pytest.raises(ValueError, match="non-negative"):
+        seeded_uniform(-1, [(0.0, 1.0)], 3)
+    with pytest.raises(OverflowError, match="wider than the double range"):
+        seeded_uniform(0, [(0.0, 1.0), (-1e308, 1e308)], 3)
+    with pytest.raises(ValueError, match="hi < lo"):
+        seeded_uniform(0, [(1.0, 0.0)], 3)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from funcobs.system import (
     builtin_batch_reactor,
     builtin_cstr,
     linear_to_system,
+    system_from_dict,
     with_target,
 )
 
@@ -174,6 +175,22 @@ def test_rank_tests_build_no_symbolic_table(monkeypatch):
     assert observability_index(sys_, 6, n_samples=20)[0] == 2
     assert functional_rank_check(sys_, 6, n_samples=20).holds
     assert functional_index_candidate(sys_, 3, n_samples=20).candidate == 1
+
+
+def test_all_samples_failing_names_the_first_point_and_order():
+    # 10^400 is inf as a double, so f[0] is inf/inf = nan wherever it enters
+    raw = builtin_batch_reactor().to_dict()
+    raw["f"][0] = "-10^400*k1*cA/10^400"
+    sys_ = system_from_dict(raw)
+    first = ", ".join(f"{nm}={x!r}" for nm, x in zip(sys_.state_names, sample_states(sys_, 100, 42)[0].tolist()))
+    with pytest.raises(ObservabilityError) as err:
+        observability_index(sys_, 6)
+    assert str(err.value) == (
+        f"all 100 sample points failed to evaluate; at the first ({first}) "
+        "the gradient of the order-2 derivative of output h[0] is not finite"
+    )
+    with pytest.raises(ObservabilityError, match="order-1 derivative of the target q is not finite"):
+        functional_index_candidate(sys_, 3)
 
 
 # ---------------------------------------------------------------------------

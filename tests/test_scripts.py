@@ -4,6 +4,8 @@ import csv
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -49,3 +51,14 @@ def test_startup_split_prints_one_json_line(capsys):
         assert split[name]["wall_s"] > 0 and split[name]["cpu_s"] >= 0
     tasks = split["tasks_after_cli_import"]
     assert tasks is None or tasks >= 1
+
+
+def test_startup_split_reports_max_rss():
+    # in its own process: a child's max RSS is floored at its parent's RSS
+    script = os.path.join(REPO_ROOT, "scripts", "startup_split.py")
+    proc = subprocess.run([sys.executable, script, "--runs", "1"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    split = json.loads(proc.stdout)
+    rss = {name: split[name]["max_rss_mb"] for name in ("pass", "import numpy", "import funcobs.cli")}
+    # each code loads what the one before it loads, and more
+    assert 0 < rss["pass"] < rss["import numpy"] < rss["import funcobs.cli"]

@@ -143,6 +143,21 @@ def test_box_must_cover_exactly_the_states():
         )
 
 
+def test_box_wider_than_the_double_range_names_the_state():
+    raw = builtin_batch_reactor().to_dict()
+    raw["box"]["cB"] = [-1e308, 1e308]
+    with pytest.raises(SystemDefError, match="'cB' is wider than the double range"):
+        system_from_dict(raw)
+
+
+@pytest.mark.parametrize("key", ["states", "f", "h"])
+def test_string_where_a_list_belongs_rejected(key):
+    raw = {"states": ["x", "y"], "f": ["-x", "-y"], "h": ["x"], "q": "y", "box": {"x": [0, 1], "y": [0, 1]}}
+    raw[key] = "xy" if key == "states" else raw[key][0]
+    with pytest.raises(SystemDefError, match=f"'{key}' in system definition must be a list"):
+        system_from_dict(raw)
+
+
 def test_w_vars_not_allowed_in_dynamics():
     with pytest.raises(SystemDefError):
         SystemDef(
