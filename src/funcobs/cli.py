@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -123,8 +124,8 @@ class RunConfig:
 
     def __post_init__(self):
         for nm in ("dt", "t_final"):
-            if getattr(self, nm) <= 0:
-                raise CliInputError(f"--{nm.replace('_', '-')} must be positive")
+            if not 0 < getattr(self, nm) < math.inf:
+                raise CliInputError(f"--{nm.replace('_', '-')} must be positive and finite")
         for nm in ("samples", "m_max", "v_max"):
             if getattr(self, nm) < 1:
                 raise CliInputError(f"--{nm.replace('_', '-')} must be >= 1")
@@ -371,6 +372,8 @@ def _x0(cfg: RunConfig, n: int) -> np.ndarray:
     x0 = np.asarray(cfg.x0, dtype=float)
     if x0.shape != (n,):
         raise CliInputError(f"--x0 needs {n} values for this system")
+    if not np.isfinite(x0).all():
+        raise CliInputError(f"--x0 values must be finite, got {cfg.x0}")
     return x0
 
 

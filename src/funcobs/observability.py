@@ -11,7 +11,6 @@ evaluated successfully.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,7 @@ from .expr import (
 )
 from .jets import MAX_ORDER, flow_derivatives
 from .lie import observability_set, q_derivatives
-from .system import SystemDef, system_equivalence, write_json
+from .system import SystemDef, _read_json, system_equivalence, write_json
 
 RANK_RTOL = 1e-9
 RANK_FLOOR = 1e-12
@@ -307,11 +306,16 @@ class PsiRepresentation:
 
 
 def load_psi(path) -> PsiRepresentation:
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = _read_json(path)
+    if not isinstance(raw, dict):
+        raise ObservabilityError(f"{path}: a psi file holds a JSON object with keys 'v' and 'psi'")
     if "v" not in raw or "psi" not in raw:
         raise ObservabilityError("psi file needs keys 'v' and 'psi'")
-    return PsiRepresentation(v=int(raw["v"]), psi=tuple(parse(s) for s in raw["psi"]))
+    if isinstance(raw["v"], bool) or not isinstance(raw["v"], int):
+        raise ObservabilityError(f"{path}: 'v' must be an integer, got {raw['v']!r}")
+    if not isinstance(raw["psi"], list):
+        raise ObservabilityError(f"{path}: 'psi' must be a list of expressions, got {raw['psi']!r}")
+    return PsiRepresentation(v=raw["v"], psi=tuple(parse(s) for s in raw["psi"]))
 
 
 def save_psi(rep: PsiRepresentation, path):

@@ -55,6 +55,8 @@ class SimTrace:
 def _steps(t_final: float, dt: float) -> int:
     if dt <= 0 or t_final <= 0:
         raise SimError("dt and t_final must be positive")
+    if not math.isfinite(t_final / dt):
+        raise SimError(f"t_final / dt = {t_final / dt} steps is not a finite count")
     n = int(round(t_final / dt))
     if n < 1:
         raise SimError("t_final shorter than one step")

@@ -14,7 +14,6 @@ realization of the transfer from measurements to estimate.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ import numpy as np
 from .expr import Const, Expr, Product, Sum, WVar, parse, simplify, substitute, to_text
 from .lie import observability_set, q_derivatives
 from .observability import PsiRepresentation, numeric_rank
-from .system import LinearSystemDef, SystemDef, system_equivalence, write_json
+from .system import LinearSystemDef, SystemDef, _read_json, system_equivalence, write_json
 
 
 class SynthesisError(ValueError):
@@ -366,16 +365,17 @@ def save_observer(obs, path):
 def load_observer(path):
     """Load either observer flavour; the key set decides which.  The declared
     order v must equal the number of polynomial coefficients."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    if "T" not in raw and "A" not in raw:
+    raw = _read_json(path)
+    if not isinstance(raw, dict) or ("T" not in raw and "A" not in raw):
         raise SynthesisError(f"{path}: not an observer file (no 'T' or 'A' key)")
     required = ("v", "alphas") if "T" in raw else ("v", "alphas", "betas")
     missing = [k for k in required if k not in raw]
     if missing:
         raise SynthesisError(f"{path}: observer file lacks {', '.join(map(repr, missing))}")
+    if isinstance(raw["v"], bool) or not isinstance(raw["v"], int):
+        raise SynthesisError(f"{path}: observer order 'v' must be an integer, got {raw['v']!r}")
     alphas = make_alphas(raw["alphas"])
-    if int(raw["v"]) != alphas.v:
+    if raw["v"] != alphas.v:
         raise SynthesisError(
             f"{path}: observer order v={raw['v']} does not match {alphas.v} coefficient(s)"
         )

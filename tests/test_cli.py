@@ -552,6 +552,61 @@ def test_simulate_observer_order_mismatch_exit_2(tmp_path, capsys, observer, pla
     assert "does not match" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "raw,message",
+    [
+        ({"v": 1.7, "psi": ["w0_1", "w1_1"]}, "'v' must be an integer, got 1.7"),
+        ({"v": True, "psi": ["w0_1", "w1_1"]}, "'v' must be an integer, got True"),
+        ("v psi", "a psi file holds a JSON object with keys 'v' and 'psi'"),
+        ({"v": 1, "psi": "ab"}, "'psi' must be a list of expressions, got 'ab'"),
+    ],
+    ids=["fractional-v", "boolean-v", "top-level-string", "psi-string"],
+)
+def test_malformed_psi_file_exit_2(tmp_path, capsys, raw, message):
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(raw))
+    assert main(["analyze", "--builtin", "batch-reactor", "--psi", str(path)]) == 2
+    assert message in capsys.readouterr().out
+
+
+# a hand-written order-1 observer for the batch reactor
+OBSERVER_V1 = {"v": 1, "alphas": [2.0], "T": "w1_1 + 2*w0_1"}
+
+
+def _simulate_batch(tmp_path, *args, observer=OBSERVER_V1):
+    path = tmp_path / "observer.json"
+    path.write_text(json.dumps(observer))
+    return main(
+        ["simulate", "--builtin", "batch-reactor", "--observer", str(path),
+         "--out", str(tmp_path / "run"), *args]
+    )
+
+
+def test_simulate_fractional_observer_order_exit_2(tmp_path, capsys):
+    rc = _simulate_batch(tmp_path, "--x0=1,0.2,0.1", observer={**OBSERVER_V1, "v": 1.5})
+    assert rc == 2
+    assert "observer order 'v' must be an integer, got 1.5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--dt=nan", "--dt=inf", "--t-final=nan", "--t-final=inf"])
+def test_simulate_non_finite_step_size_exit_2(tmp_path, capsys, flag):
+    assert _simulate_batch(tmp_path, "--x0=1,0.2,0.1", flag) == 2
+    name = flag.split("=")[0]
+    assert f"{name} must be positive and finite" in capsys.readouterr().out
+
+
+def test_simulate_step_count_past_the_double_range_exit_2(tmp_path, capsys):
+    # 10 / 1e-320 overflows to an infinite step count
+    assert _simulate_batch(tmp_path, "--x0=1,0.2,0.1", "--dt", "1e-320") == 2
+    assert "is not a finite count" in capsys.readouterr().out
+
+
+def test_simulate_non_finite_x0_exit_2(tmp_path, capsys):
+    assert _simulate_batch(tmp_path, "--x0=0.8,0.3,nan") == 2
+    assert "--x0 values must be finite" in capsys.readouterr().out
+    assert not (tmp_path / "run" / "trace.csv").exists()
+
+
 def test_simulate_failure_at_t0_writes_empty_trace_exit_4(tmp_path, capsys, load_schema):
     sys_path = tmp_path / "sys.json"
     sys_path.write_text(
