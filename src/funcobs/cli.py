@@ -10,7 +10,7 @@ exit codes.
 from __future__ import annotations
 
 import argparse
-import json
+import cmath
 import math
 import os
 import sys
@@ -93,7 +93,6 @@ _INPUT_ERRORS = (
     ExprError,
     LieError,
     OSError,
-    json.JSONDecodeError,
 )
 
 
@@ -141,9 +140,12 @@ def parse_poles(text: str) -> tuple[complex, ...]:
         if not tok:
             continue
         try:
-            poles.append(complex(tok.replace("i", "j")))
+            pole = complex(tok.replace("i", "j"))
         except ValueError:
             raise CliInputError(f"cannot parse pole '{tok}'") from None
+        if not cmath.isfinite(pole):
+            raise CliInputError(f"pole '{tok}' is not finite")
+        poles.append(pole)
     if not poles:
         raise CliInputError("empty pole list")
     return tuple(poles)
@@ -159,16 +161,17 @@ def parse_floats(text: str) -> tuple[float, ...]:
 def parse_init(text: str) -> tuple:
     if text == "exact":
         return ("exact", None)
-    if text.startswith("offset="):
-        try:
-            return ("offset", float(text[len("offset="):]))
-        except ValueError:
-            raise CliInputError(f"cannot parse '{text}'") from None
-    if text.startswith("explicit="):
-        return ("explicit", parse_floats(text[len("explicit="):]))
-    raise CliInputError(
-        f"--init must be exact, offset=<r>, or explicit=<list>; got '{text}'"
-    )
+    mode, eq, val = text.partition("=")
+    if mode not in ("offset", "explicit") or not eq:
+        raise CliInputError(
+            f"--init must be exact, offset=<r>, or explicit=<list>; got '{text}'"
+        )
+    vals = parse_floats(val)
+    if mode == "offset" and len(vals) != 1:
+        raise CliInputError(f"cannot parse '{text}'")
+    if not all(map(math.isfinite, vals)):
+        raise CliInputError(f"--init values must be finite, got '{text}'")
+    return (mode, vals[0] if mode == "offset" else vals)
 
 
 def _resolve_system(cfg: RunConfig) -> tuple[SystemDef, str]:

@@ -32,6 +32,7 @@ from .expr import (
 from .jets import MAX_ORDER, flow_derivatives
 from .lie import observability_set, q_derivatives
 from .system import SystemDef, _read_json, system_equivalence, write_json
+from .system import check_shape, shipped_schema
 
 RANK_RTOL = 1e-9
 RANK_FLOOR = 1e-12
@@ -307,14 +308,7 @@ class PsiRepresentation:
 
 def load_psi(path) -> PsiRepresentation:
     raw = _read_json(path)
-    if not isinstance(raw, dict):
-        raise ObservabilityError(f"{path}: a psi file holds a JSON object with keys 'v' and 'psi'")
-    if "v" not in raw or "psi" not in raw:
-        raise ObservabilityError("psi file needs keys 'v' and 'psi'")
-    if isinstance(raw["v"], bool) or not isinstance(raw["v"], int):
-        raise ObservabilityError(f"{path}: 'v' must be an integer, got {raw['v']!r}")
-    if not isinstance(raw["psi"], list):
-        raise ObservabilityError(f"{path}: 'psi' must be a list of expressions, got {raw['psi']!r}")
+    check_shape(raw, shipped_schema("psi"), path, ObservabilityError)
     return PsiRepresentation(v=raw["v"], psi=tuple(parse(s) for s in raw["psi"]))
 
 

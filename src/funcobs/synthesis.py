@@ -23,6 +23,7 @@ from .expr import Const, Expr, Product, Sum, WVar, parse, simplify, substitute, 
 from .lie import observability_set, q_derivatives
 from .observability import PsiRepresentation, numeric_rank
 from .system import LinearSystemDef, SystemDef, _read_json, system_equivalence, write_json
+from .system import as_matrix, check_shape, shipped_schema
 
 
 class SynthesisError(ValueError):
@@ -245,7 +246,7 @@ def linear_realization(
     measurement term.
     """
     v = alphas.v
-    betas = np.atleast_2d(np.asarray(betas, dtype=float))
+    betas = np.atleast_2d(as_matrix(betas, "betas", SynthesisError))
     if betas.shape[0] != v + 1:
         raise SynthesisError(f"need v+1 beta rows, got {betas.shape[0]}")
     p = betas.shape[1]
@@ -368,12 +369,7 @@ def load_observer(path):
     raw = _read_json(path)
     if not isinstance(raw, dict) or ("T" not in raw and "A" not in raw):
         raise SynthesisError(f"{path}: not an observer file (no 'T' or 'A' key)")
-    required = ("v", "alphas") if "T" in raw else ("v", "alphas", "betas")
-    missing = [k for k in required if k not in raw]
-    if missing:
-        raise SynthesisError(f"{path}: observer file lacks {', '.join(map(repr, missing))}")
-    if isinstance(raw["v"], bool) or not isinstance(raw["v"], int):
-        raise SynthesisError(f"{path}: observer order 'v' must be an integer, got {raw['v']!r}")
+    check_shape(raw, shipped_schema("observer")["oneOf"]["T" not in raw], path, SynthesisError)
     alphas = make_alphas(raw["alphas"])
     if raw["v"] != alphas.v:
         raise SynthesisError(
@@ -381,4 +377,4 @@ def load_observer(path):
         )
     if "T" in raw:
         return ObserverIO(v=alphas.v, alphas=alphas, T=parse(raw["T"]))
-    return linear_realization(alphas, np.asarray(raw["betas"], dtype=float))
+    return linear_realization(alphas, raw["betas"])

@@ -154,23 +154,55 @@ def _read_json(path):
             raise SystemDefError(f"{path}: invalid JSON ({exc})") from None
 
 
+def shipped_schema(name: str) -> dict:
+    """One of the JSON schemas shipped in the package, by file stem ("psi")."""
+    return _read_json(resources.files("funcobs") / "schemas" / f"{name}.schema.json")
+
+
+_TYPES = {"object": (dict, "an object"), "array": (list, "a list"), "string": (str, "a string"),
+          "number": ((int, float), "a number"), "integer": (int, "an integer")}
+
+
+def check_shape(doc, schema: dict, source, error=SystemDefError, key_path: str = ""):
+    """Raise `error`, naming source, key path and value, where a JSON document
+    breaks an input schema.  Reads type, required, properties, additionalProperties,
+    items, minItems, maxItems and minimum.  1.0 is not an integer, True not a number."""
+    where = f"{source}: " + (repr(key_path) if key_path else "top level")
+    types, name = _TYPES.get(schema.get("type"), (object, ""))
+    if name and (isinstance(doc, bool) or not isinstance(doc, types)):
+        raise error(f"{where} must be {name}, got {doc!r}")
+    if "minimum" in schema and doc < schema["minimum"]:
+        raise error(f"{where} must be >= {schema['minimum']}, got {doc!r}")
+    if isinstance(doc, dict):
+        if missing := [k for k in schema.get("required", ()) if k not in doc]:
+            raise error(f"{where} lacks {', '.join(map(repr, missing))}")
+        for key, val in doc.items():
+            sub = schema.get("properties", {}).get(key, schema.get("additionalProperties", {}))
+            if sub is False:
+                raise error(f"{where} has an unknown key {key!r}")
+            check_shape(val, sub, source, error, f"{key_path}.{key}" if key_path else key)
+    if isinstance(doc, list):
+        if len(doc) < schema.get("minItems", 0):
+            raise error(f"{where} needs at least {schema['minItems']} items, got {doc!r}")
+        if len(doc) > schema.get("maxItems", len(doc)):
+            raise error(f"{where} allows at most {schema['maxItems']} items, got {doc!r}")
+        for i, val in enumerate(doc if "items" in schema else ()):
+            check_shape(val, schema["items"], source, error, f"{key_path}[{i}]")
+
+
 def load_system(path) -> SystemDef:
     return system_from_dict(_read_json(path))
 
 
 def system_from_dict(raw: dict) -> SystemDef:
-    for key in ("states", "f", "h", "q", "box"):
-        if key not in raw:
-            raise SystemDefError(f"missing key '{key}' in system definition")
-        if key in ("states", "f", "h") and not isinstance(raw[key], (list, tuple)):
-            raise SystemDefError(f"'{key}' in system definition must be a list")
+    check_shape(raw, shipped_schema("system"), "system definition")
     return SystemDef(
-        state_names=tuple(raw["states"]),
-        params={k: float(v) for k, v in raw.get("params", {}).items()},
+        state_names=raw["states"],
+        params=raw.get("params", {}),
         f=tuple(parse(s) for s in raw["f"]),
         h=tuple(parse(s) for s in raw["h"]),
         q=parse(raw["q"]),
-        box={k: (float(v[0]), float(v[1])) for k, v in raw["box"].items()},
+        box=raw["box"],
     )
 
 
@@ -261,6 +293,14 @@ def builtin_cstr(
 # linear systems
 
 
+def as_matrix(rows, name: str, error=SystemDefError) -> np.ndarray:
+    """A float array from nested lists; a ragged one is an input error."""
+    try:
+        return np.asarray(rows, dtype=float)
+    except ValueError:
+        raise error(f"{name!r} is not a rectangular matrix of numbers: {rows!r}") from None
+
+
 @dataclass
 class LinearSystemDef:
     F: np.ndarray
@@ -268,9 +308,9 @@ class LinearSystemDef:
     q: np.ndarray
 
     def __post_init__(self):
-        self.F = np.asarray(self.F, dtype=float)
-        self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
-        self.q = np.atleast_2d(np.asarray(self.q, dtype=float))
+        self.F = as_matrix(self.F, "F")
+        self.H = np.atleast_2d(as_matrix(self.H, "H"))
+        self.q = np.atleast_2d(as_matrix(self.q, "q"))
         n = self.F.shape[0]
         if self.F.shape != (n, n):
             raise SystemDefError("F must be square")
@@ -293,9 +333,7 @@ class LinearSystemDef:
 
 def load_linear_system(path) -> LinearSystemDef:
     raw = _read_json(path)
-    for key in ("F", "H", "q"):
-        if key not in raw:
-            raise SystemDefError(f"missing key '{key}' in linear system definition")
+    check_shape(raw, shipped_schema("linear_system"), path)
     return LinearSystemDef(F=raw["F"], H=raw["H"], q=raw["q"])
 
 

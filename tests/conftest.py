@@ -17,7 +17,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.fixture(scope="session")
 def schemas_dir():
-    return os.path.join(REPO_ROOT, "schemas")
+    return os.path.join(REPO_ROOT, "src", "funcobs", "schemas")
 
 
 @pytest.fixture(scope="session")

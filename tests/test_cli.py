@@ -189,9 +189,12 @@ def test_non_string_expression_in_a_file_exit_2(tmp_path, capsys):
     sys_path, psi_path = tmp_path / "sys.json", tmp_path / "psi.json"
     sys_path.write_text(json.dumps(raw))
     psi_path.write_text(json.dumps({"v": 1, "psi": ["x", 3]}))
-    for args in ([str(sys_path)], ["--builtin", "batch-reactor", "--psi", str(psi_path)]):
+    for args, message in (
+        ([str(sys_path)], "error: system definition: 'q' must be a string, got 1"),
+        (["--builtin", "batch-reactor", "--psi", str(psi_path)], "'psi[1]' must be a string, got 3"),
+    ):
         assert main(["analyze", *args]) == 2
-        assert "error: expected an expression string, got int" in capsys.readouterr().out
+        assert message in capsys.readouterr().out
 
 
 def test_negative_seed_exit_2(capsys):
@@ -215,7 +218,7 @@ def test_states_given_as_a_string_exit_2(tmp_path, capsys):
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(raw))
     assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "error: 'states' in system definition must be a list" in capsys.readouterr().out
+    assert "error: system definition: 'states' must be a list, got 'xy'" in capsys.readouterr().out
     assert not (tmp_path / "out" / "analysis.json").exists()
 
 
@@ -557,8 +560,8 @@ def test_simulate_observer_order_mismatch_exit_2(tmp_path, capsys, observer, pla
     [
         ({"v": 1.7, "psi": ["w0_1", "w1_1"]}, "'v' must be an integer, got 1.7"),
         ({"v": True, "psi": ["w0_1", "w1_1"]}, "'v' must be an integer, got True"),
-        ("v psi", "a psi file holds a JSON object with keys 'v' and 'psi'"),
-        ({"v": 1, "psi": "ab"}, "'psi' must be a list of expressions, got 'ab'"),
+        ("v psi", "top level must be an object, got 'v psi'"),
+        ({"v": 1, "psi": "ab"}, "'psi' must be a list, got 'ab'"),
     ],
     ids=["fractional-v", "boolean-v", "top-level-string", "psi-string"],
 )
@@ -585,7 +588,7 @@ def _simulate_batch(tmp_path, *args, observer=OBSERVER_V1):
 def test_simulate_fractional_observer_order_exit_2(tmp_path, capsys):
     rc = _simulate_batch(tmp_path, "--x0=1,0.2,0.1", observer={**OBSERVER_V1, "v": 1.5})
     assert rc == 2
-    assert "observer order 'v' must be an integer, got 1.5" in capsys.readouterr().out
+    assert "observer.json: 'v' must be an integer, got 1.5" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag", ["--dt=nan", "--dt=inf", "--t-final=nan", "--t-final=inf"])
@@ -605,6 +608,87 @@ def test_simulate_non_finite_x0_exit_2(tmp_path, capsys):
     assert _simulate_batch(tmp_path, "--x0=0.8,0.3,nan") == 2
     assert "--x0 values must be finite" in capsys.readouterr().out
     assert not (tmp_path / "run" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("init", ["offset=nan", "explicit=inf"])
+def test_simulate_non_finite_init_exit_2(tmp_path, capsys, init):
+    with pytest.raises(CliInputError, match="--init values must be finite"):
+        parse_init(init)
+    assert _simulate_batch(tmp_path, "--x0=1,0.2,0.1", f"--init={init}") == 2
+    assert f"--init values must be finite, got '{init}'" in capsys.readouterr().out
+    assert not (tmp_path / "run" / "trace.csv").exists()
+
+
+LIN_DOUBLE_INTEGRATOR = json.loads(data_path("lin_double_integrator.json").read_text())
+REALIZED_V1 = {"v": 1, "alphas": [3.0], "betas": [[9.0], [3.0]], "A": [[-3.0]],
+               "B": [[-9.0]], "C": [[1.0]], "D": [[3.0]]}
+
+
+@pytest.mark.parametrize("route", [["--builtin", "batch-reactor", "--psi", PSI_BATCH],
+                                   ["--linear", str(data_path("lin_double_integrator.json"))]],
+                         ids=["psi", "linear"])
+@pytest.mark.parametrize("pole", ["nan", "-1e400", "-1+1e400i"])
+def test_synthesize_non_finite_pole_exit_2(tmp_path, capsys, route, pole):
+    assert main(["synthesize", *route, f"--poles={pole}", "--out", str(tmp_path)]) == 2
+    assert f"error: pole '{pole}' is not finite" in capsys.readouterr().out
+    assert not (tmp_path / "observer.json").exists()
+
+
+def _with(doc: dict, key: str, value) -> dict:
+    """A copy of a JSON document with one entry set; `key` may be 'outer.inner'."""
+    doc = json.loads(json.dumps(doc))
+    *outer, last = key.split(".")
+    target = doc
+    for k in outer:
+        target = target[k]
+    target[last] = value
+    return doc
+
+
+_SYSTEM_ARGS = ["analyze"]
+_LINEAR_ARGS = ["synthesize", "--poles=-3", "--linear"]
+_PSI_ARGS = ["analyze", "--builtin", "batch-reactor", "--psi"]
+_OBSERVER_ARGS = ["simulate", *BATCH_X0, "--t-final=0.1", "--observer"]
+_REALIZED_ARGS = ["simulate", *LIN_X0, "--t-final=0.1", "--observer"]
+_BATCH = builtin_batch_reactor().to_dict()
+
+
+@pytest.mark.parametrize(
+    "args,doc,message",
+    [
+        (_SYSTEM_ARGS, _with(_BATCH, "parms", {"a": 1}),
+         "system definition: top level has an unknown key 'parms'"),
+        (_SYSTEM_ARGS, _with(_BATCH, "params.k1", "2"),
+         "system definition: 'params.k1' must be a number, got '2'"),
+        (_SYSTEM_ARGS, _with(_BATCH, "box.cA", [0, 1, 5]),
+         "system definition: 'box.cA' allows at most 2 items, got [0, 1, 5]"),
+        (_SYSTEM_ARGS, _with(_BATCH, "box.cA", "01"),
+         "system definition: 'box.cA' must be a list, got '01'"),
+        (_LINEAR_ARGS, _with(LIN_DOUBLE_INTEGRATOR, "G", [[1.0]]),
+         "{path}: top level has an unknown key 'G'"),
+        (_LINEAR_ARGS, _with(LIN_DOUBLE_INTEGRATOR, "F", [[0, "1"], [0, 0]]),
+         "{path}: 'F[0][1]' must be a number, got '1'"),
+        (_PSI_ARGS, {"v": 1, "psi": ["w0_1", "w1_1"], "note": "x"},
+         "{path}: top level has an unknown key 'note'"),
+        (_OBSERVER_ARGS, _with(OBSERVER_V1, "poles", [-2]),
+         "{path}: top level has an unknown key 'poles'"),
+        (_LINEAR_ARGS, _with(LIN_DOUBLE_INTEGRATOR, "F", [[0, 1], [0]]),
+         "'F' is not a rectangular matrix of numbers: [[0, 1], [0]]"),
+        (_REALIZED_ARGS, _with(REALIZED_V1, "betas", [[9.0], [3.0, 1.0]]),
+         "'betas' is not a rectangular matrix of numbers: [[9.0], [3.0, 1.0]]"),
+    ],
+    ids=["system-unknown-key", "system-string-param", "system-three-bounds",
+         "system-string-box", "linear-unknown-key", "linear-string-entry",
+         "psi-unknown-key", "observer-unknown-key", "linear-ragged-F",
+         "observer-ragged-betas"],
+)
+def test_input_file_of_the_wrong_shape_exit_2(tmp_path, capsys, args, doc, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main([*args, str(path), "--out", str(out)]) == 2
+    assert f"error: {message.format(path=path)}\n" in capsys.readouterr().out
+    assert not out.exists() or not os.listdir(out)
 
 
 def test_simulate_failure_at_t0_writes_empty_trace_exit_4(tmp_path, capsys, load_schema):

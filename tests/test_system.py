@@ -154,7 +154,7 @@ def test_box_wider_than_the_double_range_names_the_state():
 def test_string_where_a_list_belongs_rejected(key):
     raw = {"states": ["x", "y"], "f": ["-x", "-y"], "h": ["x"], "q": "y", "box": {"x": [0, 1], "y": [0, 1]}}
     raw[key] = "xy" if key == "states" else raw[key][0]
-    with pytest.raises(SystemDefError, match=f"'{key}' in system definition must be a list"):
+    with pytest.raises(SystemDefError, match=f"system definition: '{key}' must be a list, got '{raw[key]}'"):
         system_from_dict(raw)
 
 
