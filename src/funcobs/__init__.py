@@ -16,8 +16,8 @@ _EXPORTS = {
     "system": """SystemDef LinearSystemDef SystemDefError load_system save_system
         load_linear_system save_linear_system linear_to_system builtin_batch_reactor
         builtin_cstr builtin_double_integrator data_path system_equivalence with_target""",
-    "lie": """ObservabilitySet QDerivatives lie_derivative observability_set
-        observability_jacobian q_derivatives lie_series_predict""",
+    "lie": """lie_derivative lie_table measured_derivatives target_derivatives
+        observability_jacobian lie_series_predict""",
     "observability": """RankReport FunctionalRankCheck FunctionalIndexScan
         PsiRepresentation PsiVerification LiftResult state_observability_rank
         observability_index functional_rank_check functional_index_candidate

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,48 +51,39 @@ def lie_derivative(sys: SystemDef, g: Expr) -> Expr:
     return simplify(terms[0] if len(terms) == 1 else Sum(tuple(terms)))
 
 
-@dataclass
-class ObservabilitySet:
-    """Derivatives of every measured output up to order m-1.
-
-    table[i][j] is the i-th derivative of output j+1 along the flow.
-    """
-
-    sys: SystemDef
-    m: int
-    table: list[list[Expr]]
-
-    def rows(self):
-        """Flattened (i, j, expr) rows ordered by derivative order, then output."""
-        out = []
-        for i in range(self.m):
-            for j, e in enumerate(self.table[i], start=1):
-                out.append((i, j, e))
-        return out
-
-    def derivative_map(self) -> dict[tuple[int, int], Expr]:
-        """(i, j) -> the expression that the measurement derivative w<i>_<j> stands for."""
-        return {(i, j): e for i, j, e in self.rows()}
+def lie_table(sys: SystemDef, exprs, order: int) -> list[tuple[Expr, ...]]:
+    """Row k holds L_f^k of each expression, for k < order; row 0 is exprs as
+    given.  The symbolic twin of `jets.flow_derivatives`, with its [k][e] axes."""
+    if order < 1:
+        raise LieError("derivative table needs order >= 1")
+    table = [tuple(exprs)]
+    for _ in range(order - 1):
+        table.append(tuple(lie_derivative(sys, e) for e in table[-1]))
+    return table
 
 
-def observability_set(sys: SystemDef, m: int) -> ObservabilitySet:
-    if m < 1:
-        raise LieError("derivative table needs m >= 1")
-    table = [list(sys.h)]
-    for _ in range(m - 1):
-        table.append([lie_derivative(sys, e) for e in table[-1]])
-    return ObservabilitySet(sys=sys, m=m, table=table)
+def measured_derivatives(sys: SystemDef, v: int) -> dict[tuple[int, int], Expr]:
+    """(i, j) -> the expression that the measurement derivative w<i>_<j> stands
+    for, i <= v and j 1-based, ordered by derivative order, then output."""
+    table = lie_table(sys, sys.h, v + 1)
+    return {(i, j): e for i, row in enumerate(table) for j, e in enumerate(row, start=1)}
 
 
-def observability_jacobian(os_: ObservabilitySet, x) -> np.ndarray:
-    """Stacked gradient matrix of the derivative table at a point.
+def target_derivatives(sys: SystemDef, v: int) -> list[Expr]:
+    """Derivatives of the estimation target along the flow, orders 0..v."""
+    return [row[0] for row in lie_table(sys, (simplify(sys.q),), v + 1)]
 
-    Rows follow `ObservabilitySet.rows` order.  Points outside the sampling
+
+def observability_jacobian(sys: SystemDef, m: int, x) -> np.ndarray:
+    """Stacked gradients of the output derivatives of orders 0..m-1 at a point.
+
+    Rows follow `measured_derivatives` order.  Points outside the sampling
     box are allowed but warned about, since the local tests only certify
     behaviour on the box.  The gradients come from Taylor-mode jets, not
-    from the symbolic table; a non-finite entry raises EvalError.
+    from a symbolic table; a non-finite entry raises EvalError.
     """
-    sys = os_.sys
+    if m < 1:
+        raise LieError("derivative table needs m >= 1")
     x = np.asarray(x, dtype=float)
     if x.shape != (sys.n,):
         raise LieError(f"expected a point with {sys.n} coordinates")
@@ -105,30 +95,12 @@ def observability_jacobian(os_: ObservabilitySet, x) -> np.ndarray:
                 stacklevel=2,
             )
             break
-    J = flow_derivatives(sys, sys.h, os_.m, x[None, :])[0, :, :, 1:].reshape(-1, sys.n)
+    J = flow_derivatives(sys, sys.h, m, x[None, :])[0, :, :, 1:].reshape(-1, sys.n)
     bad = ~np.isfinite(J).all(axis=1)
     if bad.any():
         i, j = divmod(int(np.argmax(bad)), sys.p)
         raise EvalError(f"non-finite gradient of derivative order {i}", sys.h[j])
     return J
-
-
-@dataclass
-class QDerivatives:
-    """Derivatives of the estimation target along the flow, orders 0..v."""
-
-    sys: SystemDef
-    v: int
-    Q: list[Expr]
-
-
-def q_derivatives(sys: SystemDef, v: int) -> QDerivatives:
-    if v < 0:
-        raise LieError("derivative order must be >= 0")
-    Q = [simplify(sys.q)]
-    for _ in range(v):
-        Q.append(lie_derivative(sys, Q[-1]))
-    return QDerivatives(sys=sys, v=v, Q=Q)
 
 
 def lie_series_predict(sys: SystemDef, x0, t: float, m: int) -> list[float]:

@@ -30,7 +30,7 @@ from .expr import (
     to_text,
 )
 from .jets import MAX_ORDER, flow_derivatives
-from .lie import observability_set, q_derivatives
+from .lie import measured_derivatives, target_derivatives
 from .system import SystemDef, _read_json, system_equivalence, write_json
 from .system import check_shape, shipped_schema
 
@@ -111,7 +111,7 @@ def _gradient_stacks(
     """Gradient stacks at the sampled states that evaluate.
 
     Returns the output-derivative gradients of orders 0..m-1, shape
-    (N, m*p, n) with rows in `ObservabilitySet.rows` order; the target-derivative
+    (N, m*p, n) with rows in `measured_derivatives` order; the target-derivative
     gradients of orders 0..v, shape (N, v+1, n), or None when v is None; and
     the number of samples skipped because some entry failed to evaluate.
     """
@@ -354,14 +354,14 @@ def verify_psi(
     box.  On success the representation is marked verified."""
     for k, e in enumerate(rep.psi):
         _check_psi_against_system(sys, e, f"psi[{k}]")
-    subs = observability_set(sys, rep.v + 1).derivative_map()
-    qd = q_derivatives(sys, rep.v)
+    subs = measured_derivatives(sys, rep.v)
+    Q = target_derivatives(sys, rep.v)
     residuals = []
     reports = []
     ok = True
     for k in range(rep.v + 1):
         realized = substitute(rep.psi[k], subs)
-        r = system_equivalence(sys, qd.Q[k], realized, n=n_samples, seed=seed, rtol=rtol)
+        r = system_equivalence(sys, Q[k], realized, n=n_samples, seed=seed, rtol=rtol)
         residuals.append(r.max_residual)
         reports.append(r)
         ok = ok and r.equivalent

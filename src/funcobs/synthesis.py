@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Const, Expr, Product, Sum, WVar, parse, simplify, substitute, to_text
-from .lie import observability_set, q_derivatives
+from .lie import measured_derivatives, target_derivatives
 from .observability import PsiRepresentation, numeric_rank
 from .system import LinearSystemDef, SystemDef, _read_json, system_equivalence, write_json
 from .system import as_matrix, check_shape, shipped_schema
@@ -124,8 +124,8 @@ def invariance_identity(sys: SystemDef, obs: ObserverIO) -> tuple[Expr, Expr]:
     the v-th derivative of the target plus the assigned-polynomial
     combination of its lower derivatives, and T evaluated on the output
     derivatives.  The design is correct exactly when they agree."""
-    lhs = _assigned_sum(q_derivatives(sys, obs.v).Q, obs.alphas)
-    rhs = substitute(obs.T, observability_set(sys, obs.v + 1).derivative_map())
+    lhs = _assigned_sum(target_derivatives(sys, obs.v), obs.alphas)
+    rhs = substitute(obs.T, measured_derivatives(sys, obs.v))
     return lhs, rhs
 
 

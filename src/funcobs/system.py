@@ -147,10 +147,10 @@ def write_json(path, payload):
 
 
 def _read_json(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise SystemDefError(f"{path}: invalid JSON ({exc})") from None
 
 

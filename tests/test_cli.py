@@ -168,6 +168,20 @@ def test_analyze_missing_file_exit_2(capsys):
     assert "error:" in capsys.readouterr().out
 
 
+def test_analyze_file_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["analyze", str(path)]) == 2
+    assert f"error: {path}: invalid JSON ('utf-8' codec can't decode" in capsys.readouterr().out
+
+
+def test_psi_nested_too_deeply_exit_2(tmp_path, capsys):
+    path = tmp_path / "psi.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["analyze", "--builtin", "batch-reactor", "--psi", str(path)]) == 2
+    assert f"error: {path}: invalid JSON (maximum recursion depth" in capsys.readouterr().out
+
+
 def test_analyze_requires_some_system(capsys):
     assert main(["analyze"]) == 2
 
@@ -602,6 +616,12 @@ def test_simulate_step_count_past_the_double_range_exit_2(tmp_path, capsys):
     # 10 / 1e-320 overflows to an infinite step count
     assert _simulate_batch(tmp_path, "--x0=1,0.2,0.1", "--dt", "1e-320") == 2
     assert "is not a finite count" in capsys.readouterr().out
+
+
+def test_simulate_step_count_past_the_limit_exit_2(tmp_path, capsys):
+    assert _simulate_batch(tmp_path, "--x0=1,0.2,0.1", "--dt", "1e-300") == 2
+    assert "more than the limit of 10000000" in capsys.readouterr().out
+    assert not (tmp_path / "run" / "trace.csv").exists()
 
 
 def test_simulate_non_finite_x0_exit_2(tmp_path, capsys):

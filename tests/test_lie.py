@@ -5,15 +5,18 @@ import hashlib
 import numpy as np
 import pytest
 
+import funcobs.lie
 from funcobs.expr import evaluate, parse, to_text
 from funcobs.lie import (
     LieError,
     lie_derivative,
     lie_series_predict,
+    lie_table,
+    measured_derivatives,
     observability_jacobian,
-    observability_set,
-    q_derivatives,
+    target_derivatives,
 )
+from funcobs.observability import _gradient_stacks, sample_states
 from funcobs.sim import integrate_plant
 from funcobs.system import builtin_batch_reactor, builtin_cstr
 
@@ -29,15 +32,15 @@ def _batch_L2(k1, k2, cA, cB):
 
 def test_batch_output_derivatives_match_hand_results():
     sys_ = builtin_batch_reactor()
-    os_ = observability_set(sys_, 3)
+    table = lie_table(sys_, sys_.h, 3)
     pts = [(1.0, 0.2, 0.0), (0.5, 1.1, 0.3), (1.7, 0.6, 0.9)]
     for cA, cB, cC in pts:
         b = sys_.bindings(np.array([cA, cB, cC]))
-        assert evaluate(os_.table[0][0], b) == pytest.approx(cB, rel=1e-14)
-        assert evaluate(os_.table[1][0], b) == pytest.approx(
+        assert evaluate(table[0][0], b) == pytest.approx(cB, rel=1e-14)
+        assert evaluate(table[1][0], b) == pytest.approx(
             1.0 * cA - 0.5 * cB**2, rel=1e-14
         )
-        assert evaluate(os_.table[2][0], b) == pytest.approx(
+        assert evaluate(table[2][0], b) == pytest.approx(
             _batch_L2(1.0, 0.5, cA, cB), rel=1e-13
         )
 
@@ -45,20 +48,20 @@ def test_batch_output_derivatives_match_hand_results():
 def test_batch_target_derivatives():
     # q = cA: derivatives are (-k1)^k * cA
     sys_ = builtin_batch_reactor()
-    qd = q_derivatives(sys_, 3)
+    Q = target_derivatives(sys_, 3)
     b = sys_.bindings(np.array([1.3, 0.4, 0.2]))
     for k in range(4):
-        assert evaluate(qd.Q[k], b) == pytest.approx((-1.0) ** k * 1.3, rel=1e-13)
+        assert evaluate(Q[k], b) == pytest.approx((-1.0) ** k * 1.3, rel=1e-13)
 
 
 def test_cstr_first_derivatives_equal_vector_field_rows():
     # h = (theta, thetaj) are bare states, so L1 h_j is f[1], f[2]
     sys_ = builtin_cstr()
-    os_ = observability_set(sys_, 2)
+    table = lie_table(sys_, sys_.h, 2)
     x = np.array([0.8, 1.1, 0.7])
     b = sys_.bindings(x)
-    assert evaluate(os_.table[1][0], b) == pytest.approx(evaluate(sys_.f[1], b), rel=1e-14)
-    assert evaluate(os_.table[1][1], b) == pytest.approx(evaluate(sys_.f[2], b), rel=1e-14)
+    assert evaluate(table[1][0], b) == pytest.approx(evaluate(sys_.f[1], b), rel=1e-14)
+    assert evaluate(table[1][1], b) == pytest.approx(evaluate(sys_.f[2], b), rel=1e-14)
 
 
 def test_lie_derivative_rejects_w_vars():
@@ -67,12 +70,11 @@ def test_lie_derivative_rejects_w_vars():
         lie_derivative(sys_, parse("w0_1 + cA"))
 
 
-def test_observability_set_rows_order():
+def test_measured_derivatives_order():
     sys_ = builtin_cstr()
-    os_ = observability_set(sys_, 2)
-    rows = os_.rows()
-    assert [(i, j) for i, j, _ in rows] == [(0, 1), (0, 2), (1, 1), (1, 2)]
-    assert to_text(rows[0][2]) == "theta"
+    rows = list(measured_derivatives(sys_, 1).items())
+    assert [ij for ij, _ in rows] == [(0, 1), (0, 2), (1, 1), (1, 2)]
+    assert to_text(rows[0][1]) == "theta"
 
 
 # sha256 of the printed order-5 derivative tables of both builtins, pinned
@@ -84,26 +86,37 @@ LIE_TABLES_SHA256 = "8329a83afb7359293f552aa778c33a058df595651bff5f850888d295f85
 def test_order5_lie_tables_text_is_pinned():
     rows = []
     for sys_ in (builtin_batch_reactor(), builtin_cstr()):
-        rows += [to_text(e) for _, _, e in observability_set(sys_, 5).rows()]
-        rows += [to_text(e) for e in q_derivatives(sys_, 4).Q]
+        rows += [to_text(e) for e in measured_derivatives(sys_, 4).values()]
+        rows += [to_text(e) for e in target_derivatives(sys_, 4)]
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == LIE_TABLES_SHA256
 
 
 def test_jacobian_rows_batch():
     sys_ = builtin_batch_reactor()
-    os_ = observability_set(sys_, 2)
     x = np.array([1.0, 0.2, 0.1])
-    J = observability_jacobian(os_, x)
+    J = observability_jacobian(sys_, 2, x)
     assert J.shape == (2, 3)
     assert np.allclose(J[0], [0.0, 1.0, 0.0], atol=1e-15)
     assert np.allclose(J[1], [1.0, -2 * 0.5 * 0.2, 0.0], atol=1e-14)
 
 
+def test_jacobian_builds_no_symbolic_table(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Jacobian must not build a symbolic derivative table")
+
+    monkeypatch.setattr(funcobs.lie, "lie_table", forbidden)
+    monkeypatch.setattr(funcobs.lie, "lie_derivative", forbidden)
+    sys_ = builtin_cstr()
+    J, _, n_failed = _gradient_stacks(sys_, 6, 5, 42)
+    assert n_failed == 0
+    x = sample_states(sys_, 5, 42)[0]
+    assert np.array_equal(observability_jacobian(sys_, 6, x), J[0])
+
+
 def test_jacobian_warns_outside_box():
     sys_ = builtin_batch_reactor()
-    os_ = observability_set(sys_, 2)
     with pytest.warns(UserWarning):
-        observability_jacobian(os_, np.array([10.0, 0.2, 0.0]))
+        observability_jacobian(sys_, 2, np.array([10.0, 0.2, 0.0]))
 
 
 def test_output_derivatives_match_trajectory_differences():
@@ -114,15 +127,15 @@ def test_output_derivatives_match_trajectory_differences():
         )
         dt = 1e-4
         tr = integrate_plant(sys_, x0, 0.2, dt=dt)
-        os_ = observability_set(sys_, 3)
+        table = lie_table(sys_, sys_.h, 3)
         k = 1000  # interior sample, t = 0.1
         b = sys_.bindings(tr.x[k])
         for j in range(sys_.p):
             y = tr.y[:, j]
             fd1 = (y[k + 1] - y[k - 1]) / (2 * dt)
             fd2 = (y[k + 1] - 2 * y[k] + y[k - 1]) / dt**2
-            l1 = evaluate(os_.table[1][j], b)
-            l2 = evaluate(os_.table[2][j], b)
+            l1 = evaluate(table[1][j], b)
+            l2 = evaluate(table[2][j], b)
             assert abs(fd1 - l1) <= 1e-4 * (1.0 + abs(l1))
             assert abs(fd2 - l2) <= 1e-4 * (1.0 + abs(l2))
 

@@ -8,7 +8,7 @@ import pytest
 
 from funcobs import sim
 from funcobs.expr import EvalError, as_expr, compile_exprs, parse
-from funcobs.lie import observability_set
+from funcobs.lie import lie_table, measured_derivatives
 from funcobs.observability import load_psi, verify_psi
 from funcobs.cli import builtin_double_integrator, data_path
 from funcobs.sim import (
@@ -395,9 +395,9 @@ def _numpy_outputs(sys_, states):
 
 def _numpy_coupled(sys_, obs, x0, chain0, t_final, dt):
     v, n = obs.v, sys_.n
-    os_ = observability_set(sys_, v + 1)
+    table = lie_table(sys_, sys_.h, v + 1)
     wnames = [f"w{i}_{j}" for i in range(v + 1) for j in range(1, sys_.p + 1)]
-    wexprs = [os_.table[i][j - 1] for i in range(v + 1) for j in range(1, sys_.p + 1)]
+    wexprs = [table[i][j - 1] for i in range(v + 1) for j in range(1, sys_.p + 1)]
     f_fn = compile_exprs(sys_.f, sys_.state_names, sys_.params)
     w_fn = compile_exprs(wexprs, sys_.state_names, sys_.params)
     T_fn = compile_exprs((obs.T,), wnames, sys_.params)
@@ -577,6 +577,40 @@ def test_exact_error_grid_first_order_matches_scipy_expm(t0):
     assert _same_bits(exact_error_grid(al, e0, t), ref)
 
 
+def test_step_count_past_the_limit_is_refused():
+    assert sim._steps(10.0, 1e-6) == sim.MAX_STEPS
+    with pytest.raises(SimError, match=r"asks for \d+ steps, more than the limit of 10000000"):
+        sim._steps(10.0, 1e-300)
+
+
+def _companion_poles(kind, v):
+    if kind == "real":
+        return [-1.0 - 0.5 * k for k in range(v)]
+    if kind == "repeated":
+        return [-2.0] * v
+    pairs = [complex(-0.5 - 0.3 * k, s * (1.0 + k)) for k in range(v // 2) for s in (1, -1)]
+    return pairs + [-1.5] * (v % 2)
+
+
+@pytest.mark.parametrize("kind", ["real", "repeated", "complex"])
+@pytest.mark.parametrize("v", range(2, 9))
+def test_expm_matches_scipy(monkeypatch, kind, v):
+    # the Taylor scaling and squaring of `_expm` against scipy's Pade
+    # approximant: the exponential itself to t=20, and a 20,001-point grid
+    import scipy.linalg
+
+    al = poles_to_alphas(_companion_poles(kind, v))
+    C = sim._error_companion(al)
+    for t in (1e-3, 1.0, 5.0, 20.0):
+        ref = scipy.linalg.expm(C * t)
+        assert np.abs(sim._expm(C * t) - ref).max() <= 5e-9 * np.abs(ref).max()
+    e0 = np.linspace(-1.0, 1.0, v)
+    t = 0.5 + np.arange(20001) * 1e-3
+    grid = exact_error_grid(al, e0, t)
+    monkeypatch.setattr(sim, "_expm", scipy.linalg.expm)
+    assert np.abs(grid - exact_error_grid(al, e0, t)).max() <= 3e-12
+
+
 # ---------------------------------------------------------------------------
 # the generated RK4 kernel against the list-based loop and per-rollout
 # right-hand-side and output closures it replaced, kept here as the oracle:
@@ -630,7 +664,7 @@ def _list_outputs(sys_, zhat=None):
 
 def _list_coupled_rhs(sys_, obs):
     v, n = obs.v, sys_.n
-    wmap = observability_set(sys_, v + 1).derivative_map()
+    wmap = measured_derivatives(sys_, v)
     f_fn = compile_checked(sys_.f, sys_.state_names, sys_.params)
     w_fn = compile_checked(list(wmap.values()), sys_.state_names, sys_.params)
     T_fn = compile_checked((obs.T,), [f"w{i}_{j}" for i, j in wmap], sys_.params)
