@@ -37,6 +37,8 @@ from .observability import (
 from .sim import (
     SimError,
     SimTrace,
+    _check_outputs,
+    _steps,
     chain_init_exact,
     compile_checked,
     error_decay_fit,
@@ -125,6 +127,7 @@ class RunConfig:
         for nm in ("dt", "t_final"):
             if not 0 < getattr(self, nm) < math.inf:
                 raise CliInputError(f"--{nm.replace('_', '-')} must be positive and finite")
+        _steps(self.t_final, self.dt)  # refused before any stage runs
         for nm in ("samples", "m_max", "v_max"):
             if getattr(self, nm) < 1:
                 raise CliInputError(f"--{nm.replace('_', '-')} must be >= 1")
@@ -300,7 +303,7 @@ def _design(cfg: RunConfig, sys_: SystemDef):
     return ver, obs, inv
 
 
-def _synthesize_nonlinear(cfg: RunConfig) -> tuple[dict, ObserverIO, int]:
+def _synthesize_nonlinear(cfg: RunConfig) -> tuple[dict, ObserverIO]:
     sys_, label = _resolve_system(cfg)
     ver, obs, inv = _design(cfg, sys_)
     payload = {
@@ -322,10 +325,10 @@ def _synthesize_nonlinear(cfg: RunConfig) -> tuple[dict, ObserverIO, int]:
     print(f"T = {to_text(obs.T)}")
     word = "PASS" if inv.passed else "FAIL"
     print(f"invariance check: {word}, max residual {inv.max_residual:.3e}")
-    return payload, obs, EXIT_OK
+    return payload, obs
 
 
-def _synthesize_linear(cfg: RunConfig) -> tuple[dict, LinearObserver, int]:
+def _synthesize_linear(cfg: RunConfig) -> tuple[dict, LinearObserver]:
     if not cfg.poles:
         raise CliInputError("--poles is required")
     lsys = load_linear_system(cfg.linear)
@@ -347,14 +350,14 @@ def _synthesize_linear(cfg: RunConfig) -> tuple[dict, LinearObserver, int]:
     print(f"alphas: {list(lobs.alphas.alphas)}")
     for nm in ("A", "B", "C", "D"):
         print(f"{nm} = {getattr(lobs, nm).tolist()}")
-    return payload, lobs, EXIT_OK
+    return payload, lobs
 
 
 def cmd_synthesize(cfg: RunConfig) -> int:
     if cfg.linear is not None:
-        payload, obs, code = _synthesize_linear(cfg)
+        payload, obs = _synthesize_linear(cfg)
     else:
-        payload, obs, code = _synthesize_nonlinear(cfg)
+        payload, obs = _synthesize_nonlinear(cfg)
     out = _outdir(cfg, default=".")
     obs_path = os.path.join(out, "observer.json")
     save_observer(obs, obs_path)
@@ -362,7 +365,7 @@ def cmd_synthesize(cfg: RunConfig) -> int:
     rep_path = os.path.join(out, "synthesis.json")
     write_json(rep_path, payload)
     print(f"wrote {rep_path}")
-    return code
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +483,7 @@ def _simulate_chain(cfg: RunConfig, sys_: SystemDef, label: str, obs: ObserverIO
 
 
 def _simulate_realized(cfg: RunConfig, lsys: LinearSystemDef, label: str, lobs: LinearObserver):
+    _check_outputs(lsys, lobs)
     x0 = _x0(cfg, lsys.n)
     powers = [np.linalg.matrix_power(lsys.F, k) for k in range(lobs.v)]
     zd = _init_chain(np.array([(lsys.q @ Fk @ x0).item() for Fk in powers]), cfg.init)

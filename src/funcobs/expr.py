@@ -890,7 +890,6 @@ class EquivalenceReport:
     n_samples: int
     n_skipped: int
     worst_point: dict | None
-    worst_values: tuple[float, float] | None
     errors: list[str]
 
 
@@ -923,7 +922,6 @@ def equivalent_numeric(
 
     max_res = 0.0
     worst_point = None
-    worst_values = None
     skipped = 0
     errors: list[str] = []
     ok = True
@@ -941,7 +939,6 @@ def equivalent_numeric(
         if res > max_res:
             max_res = res
             worst_point = point
-            worst_values = (v1, v2)
         if res > rtol:
             ok = False
     if skipped > n // 2:
@@ -955,7 +952,6 @@ def equivalent_numeric(
         n_samples=n,
         n_skipped=skipped,
         worst_point=worst_point,
-        worst_values=worst_values,
         errors=errors,
     )
 

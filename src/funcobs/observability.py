@@ -71,8 +71,6 @@ class RankReport:
     ranks: list[int]
     max_rank: int
     fraction_max: float
-    tol_rtol: float
-    tol_floor: float
     n_failed: int
     verdict: str
 
@@ -98,8 +96,6 @@ def _rank_report(m: int, ranks: list[int], n_failed: int, full: int) -> RankRepo
         ranks=ranks,
         max_rank=max_rank,
         fraction_max=frac,
-        tol_rtol=RANK_RTOL,
-        tol_floor=RANK_FLOOR,
         n_failed=n_failed,
         verdict=verdict,
     )
@@ -296,14 +292,6 @@ class PsiRepresentation:
                     raise ObservabilityError(
                         f"psi[{k}] uses w{i}_{j} of derivative order {i} > v={self.v}"
                     )
-
-    def max_order(self) -> int:
-        worst = 0
-        for e in self.psi:
-            _, wvars = free_symbols(e)
-            for i, _ in wvars:
-                worst = max(worst, i)
-        return worst
 
 
 def load_psi(path) -> PsiRepresentation:

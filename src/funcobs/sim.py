@@ -65,6 +65,13 @@ def _steps(t_final: float, dt: float) -> int:
     return n
 
 
+def _check_outputs(lsys: LinearSystemDef, lobs: LinearObserver):
+    if lobs.p != lsys.p:
+        raise SimError(
+            f"the observer takes {lobs.p} measurement(s) but the system has {lsys.p} output(s)"
+        )
+
+
 _DOMAIN_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
 
 
@@ -278,6 +285,7 @@ def simulate_linear_observer(
     precomputed once and applied per step.
     """
     n_steps = _steps(t_final, dt)
+    _check_outputs(lsys, lobs)
     n, v = lsys.n, lobs.v
     x0 = np.asarray(x0, dtype=float)
     xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))

@@ -86,7 +86,6 @@ class ObserverIO:
     v: int
     alphas: AlphaCoeffs
     T: Expr
-    psi: PsiRepresentation | None = None
 
     def to_dict(self) -> dict:
         return {"v": self.v, "alphas": list(self.alphas.alphas), "T": to_text(self.T)}
@@ -109,7 +108,7 @@ def synthesize_nonlinear(
             "psi representation has not been verified against a system",
             stacklevel=2,
         )
-    return ObserverIO(v=rep.v, alphas=alphas, T=_assigned_sum(rep.psi, alphas), psi=rep)
+    return ObserverIO(v=rep.v, alphas=alphas, T=_assigned_sum(rep.psi, alphas))
 
 
 def _assigned_sum(seq, alphas: AlphaCoeffs) -> Expr:
@@ -218,7 +217,6 @@ class LinearObserver:
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    M: np.ndarray | None = None
 
     @property
     def p(self) -> int:
@@ -236,9 +234,7 @@ class LinearObserver:
         }
 
 
-def linear_realization(
-    alphas: AlphaCoeffs, betas: np.ndarray, M: np.ndarray | None = None
-) -> LinearObserver:
+def linear_realization(alphas: AlphaCoeffs, betas: np.ndarray) -> LinearObserver:
     """State-space form driven by the raw measurements only.
 
     A carries the assigned polynomial down its last column, B feeds the
@@ -262,7 +258,7 @@ def linear_realization(
     C = np.zeros((1, v))
     C[0, v - 1] = 1.0
     D = betas[0:1].copy()
-    return LinearObserver(v=v, alphas=alphas, betas=betas, A=A, B=B, C=C, D=D, M=M)
+    return LinearObserver(v=v, alphas=alphas, betas=betas, A=A, B=B, C=C, D=D)
 
 
 def design_linear_observer(
@@ -285,7 +281,7 @@ def design_linear_observer(
         )
     M, _ = compute_M(lsys, v)
     betas = compute_betas(M, alphas)
-    return linear_realization(alphas, betas, M=M)
+    return linear_realization(alphas, betas)
 
 
 def linear_observer_chain_T(lobs: LinearObserver) -> Expr:
@@ -365,7 +361,8 @@ def save_observer(obs, path):
 
 def load_observer(path):
     """Load either observer flavour; the key set decides which.  The declared
-    order v must equal the number of polynomial coefficients."""
+    order v must equal the number of polynomial coefficients, and a realized
+    observer's A, B, C and D must be the realization of its alphas and betas."""
     raw = _read_json(path)
     if not isinstance(raw, dict) or ("T" not in raw and "A" not in raw):
         raise SynthesisError(f"{path}: not an observer file (no 'T' or 'A' key)")
@@ -377,4 +374,11 @@ def load_observer(path):
         )
     if "T" in raw:
         return ObserverIO(v=alphas.v, alphas=alphas, T=parse(raw["T"]))
-    return linear_realization(alphas, raw["betas"])
+    lobs = linear_realization(alphas, raw["betas"])
+    for key in ("A", "B", "C", "D"):
+        if not np.array_equal(as_matrix(raw[key], key, SynthesisError), getattr(lobs, key)):
+            raise SynthesisError(
+                f"{path}: {key!r} is {raw[key]!r}, but the realization of the file's "
+                f"alphas and betas has {getattr(lobs, key).tolist()!r}"
+            )
+    return lobs

@@ -225,14 +225,12 @@ def system_equivalence(
 # builtins
 
 
-def builtin_batch_reactor(k1: float = 1.0, k2: float = 0.5, k3: float = 0.3) -> SystemDef:
+def builtin_batch_reactor() -> SystemDef:
     """Three-species series reaction A -> B -> C -> D with the middle step
     second order.  Measured output is cB; estimation target is cA."""
-    if min(k1, k2, k3) <= 0:
-        raise SystemDefError("rate constants must be positive")
     return SystemDef(
         state_names=("cA", "cB", "cC"),
-        params={"k1": k1, "k2": k2, "k3": k3},
+        params={"k1": 1.0, "k2": 0.5, "k3": 0.3},
         f=(
             parse("-k1*cA"),
             parse("k1*cA - k2*cB^2"),
@@ -244,19 +242,7 @@ def builtin_batch_reactor(k1: float = 1.0, k2: float = 0.5, k3: float = 0.3) -> 
     )
 
 
-def builtin_cstr(
-    FV: float = 1.0,
-    cA_in: float = 1.0,
-    theta_in: float = 1.0,
-    beta: float = 0.5,
-    hA: float = 1.0,
-    FjVj: float = 1.0,
-    thetaj_in: float = 0.5,
-    hAj: float = 1.0,
-    k0: float = 1.0,
-    EoverR: float = 1.0,
-    box: dict | None = None,
-) -> SystemDef:
+def builtin_cstr() -> SystemDef:
     """Jacketed exothermic CSTR in dimensionless groups.
 
     States: reactant concentration cA, reactor temperature theta, jacket
@@ -266,18 +252,12 @@ def builtin_cstr(
     transfer over thermal capacity on the reactor / jacket side, k0 and
     EoverR the Arrhenius constants of the rate law k0*exp(-EoverR/theta).
     """
-    vals = dict(
-        FV=FV, cA_in=cA_in, theta_in=theta_in, beta=beta, hA=hA,
-        FjVj=FjVj, thetaj_in=thetaj_in, hAj=hAj, k0=k0, EoverR=EoverR,
-    )
-    for nm, v in vals.items():
-        if v <= 0:
-            raise SystemDefError(f"parameter {nm} must be positive")
-    if box is None:
-        box = {"cA": (0.05, 2.0), "theta": (0.5, 1.5), "thetaj": (0.3, 1.2)}
     return SystemDef(
         state_names=("cA", "theta", "thetaj"),
-        params=vals,
+        params={
+            "FV": 1.0, "cA_in": 1.0, "theta_in": 1.0, "beta": 0.5, "hA": 1.0,
+            "FjVj": 1.0, "thetaj_in": 0.5, "hAj": 1.0, "k0": 1.0, "EoverR": 1.0,
+        },
         f=(
             parse("FV*(cA_in - cA) - k0*exp(-EoverR/theta)*cA"),
             parse("FV*(theta_in - theta) + beta*k0*exp(-EoverR/theta)*cA - hA*(theta - thetaj)"),
@@ -285,7 +265,7 @@ def builtin_cstr(
         ),
         h=(parse("theta"), parse("thetaj")),
         q=parse("cA"),
-        box=box,
+        box={"cA": (0.05, 2.0), "theta": (0.5, 1.5), "thetaj": (0.3, 1.2)},
     )
 
 
@@ -358,19 +338,17 @@ def _linear_row(coefs, names) -> Expr:
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
-def linear_to_system(lsys: LinearSystemDef, box: dict | None = None) -> SystemDef:
-    """Express a matrix triple as a SystemDef with states x1..xn, so the
-    nonlinear tooling (Lie tables, chain simulation) applies unchanged."""
+def linear_to_system(lsys: LinearSystemDef) -> SystemDef:
+    """Express a matrix triple as a SystemDef with states x1..xn, each sampled on
+    (-2, 2), so the nonlinear tooling (Lie tables, chain simulation) applies unchanged."""
     names = tuple(f"x{i+1}" for i in range(lsys.n))
-    if box is None:
-        box = {nm: (-2.0, 2.0) for nm in names}
     return SystemDef(
         state_names=names,
         params={},
         f=tuple(_linear_row(row, names) for row in lsys.F),
         h=tuple(_linear_row(row, names) for row in lsys.H),
         q=_linear_row(lsys.q[0], names),
-        box=box,
+        box={nm: (-2.0, 2.0) for nm in names},
     )
 
 

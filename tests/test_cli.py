@@ -21,7 +21,7 @@ from funcobs.cli import (
     parse_init,
     parse_poles,
 )
-from funcobs.system import builtin_batch_reactor, save_system
+from funcobs.system import builtin_batch_reactor, builtin_cstr, save_system
 
 PSI_BATCH = str(data_path("psi_batch.json"))
 
@@ -150,6 +150,24 @@ def test_analyze_system_file_deterministic(tmp_path):
         )
         assert rc == 0
     assert (a / "analysis.json").read_bytes() == (b / "analysis.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "builtin, name, psi",
+    [(builtin_batch_reactor, "batch-reactor", "psi_batch.json"), (builtin_cstr, "cstr", "psi_cstr.json")],
+    ids=["batch-reactor", "cstr"],
+)
+def test_saved_builtin_analyzes_as_the_builtin(tmp_path, builtin, name, psi):
+    # a builtin's parameters are varied by saving it, editing the file and analyzing that
+    sys_path = tmp_path / "sys.json"
+    save_system(builtin(), sys_path)
+    psi = str(data_path(psi))
+    assert main(["analyze", str(sys_path), "--psi", psi, "--out", str(tmp_path / "file")]) == 0
+    assert main(["analyze", "--builtin", name, "--psi", psi, "--out", str(tmp_path / "builtin")]) == 0
+    from_file, from_builtin = (_read(tmp_path / d / "analysis.json") for d in ("file", "builtin"))
+    assert from_file["system"].pop("source") == str(sys_path)
+    assert from_builtin["system"].pop("source") == name
+    assert from_file == from_builtin
 
 
 def test_analyze_with_psi(tmp_path, capsys, load_schema):
@@ -528,6 +546,35 @@ BATCH_X0 = ["--builtin", "batch-reactor", "--x0=1,0.2,0.1"]
 LIN_X0 = ["--linear", str(data_path("lin_double_integrator.json")), "--x0=0,1"]
 
 
+def _linear_observer_file(tmp_path):
+    """observer.json of the double integrator (one measurement), poles at -3."""
+    lin = str(data_path("lin_double_integrator.json"))
+    assert main(["synthesize", "--linear", lin, "--poles=-3", "--out", str(tmp_path)]) == 0
+    return tmp_path / "observer.json"
+
+
+def test_simulate_realized_observer_off_its_realization_exit_2(tmp_path, capsys):
+    path = _linear_observer_file(tmp_path)
+    path.write_text(json.dumps({**_read(path), "A": [[5.0]], "C": [[7.0]]}))
+    capsys.readouterr()
+    out = tmp_path / "run"
+    rc = main(["simulate", *LIN_X0, "--observer", str(path), "--t-final", "1", "--out", str(out)])
+    assert rc == 2
+    assert f"{path}: 'A' is [[5.0]], but the realization" in capsys.readouterr().out
+    assert not out.exists()
+
+
+def test_simulate_realized_observer_for_another_output_count_exit_2(tmp_path, capsys):
+    path = _linear_observer_file(tmp_path)
+    two_outputs = tmp_path / "lin2.json"
+    two_outputs.write_text(json.dumps({"F": [[0, 1], [0, 0]], "H": [[1, 0], [0, 1]], "q": [[0, 1]]}))
+    capsys.readouterr()
+    rc = main(["simulate", "--linear", str(two_outputs), "--observer", str(path), "--x0=0,1",
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "the observer takes 1 measurement(s) but the system has 2 output(s)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "observer,plant,missing",
     [
@@ -622,6 +669,21 @@ def test_simulate_step_count_past_the_limit_exit_2(tmp_path, capsys):
     assert _simulate_batch(tmp_path, "--x0=1,0.2,0.1", "--dt", "1e-300") == 2
     assert "more than the limit of 10000000" in capsys.readouterr().out
     assert not (tmp_path / "run" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(["batch", "--dt", "1e-300"], "more than the limit of 10000000"),
+     (["cstr", "--t-final", "0.0001"], "t_final shorter than one step")],
+    ids=["batch-too-many-steps", "cstr-no-step"],
+)
+def test_demo_bad_step_count_exit_2_before_any_stage(tmp_path, capsys, args, message):
+    out = tmp_path / "demo"
+    assert main(["demo", *args, "--out", str(out)]) == 2
+    printed = capsys.readouterr().out
+    assert message in printed
+    assert "T = " not in printed
+    assert not out.exists()
 
 
 def test_simulate_non_finite_x0_exit_2(tmp_path, capsys):

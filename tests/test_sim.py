@@ -917,6 +917,13 @@ def test_linear_start_row_is_checked(zhat0, rows):
         assert tr.zhat.tolist() == chain.zhat.tolist() == [zhat0]
 
 
+def test_linear_observer_for_another_output_count_is_refused():
+    lobs = design_linear_observer(builtin_double_integrator(), [-2.0])  # one measurement
+    lsys = LinearSystemDef(F=[[0.0, 1.0], [0.0, 0.0]], H=np.eye(2), q=[[0.0, 1.0]])
+    with pytest.raises(SimError, match=r"observer takes 1 measurement\(s\) but the system has 2"):
+        simulate_linear_observer(lsys, lobs, [0.3, -0.2], [0.0], 1.0, dt=1e-2)
+
+
 def test_kernel_start_row_is_checked():
     # a non-finite start ends a kernel rollout before row 0 is recorded, as
     # it ends the linear route of the same observer

@@ -1,6 +1,7 @@
 """Observer synthesis: polynomial handling, driving maps, linear pipeline."""
 
 import json
+import re
 
 import jsonschema
 import numpy as np
@@ -149,7 +150,7 @@ def test_double_integrator_betas_and_realization():
         al = make_alphas([a])
         betas = compute_betas(M, al)
         assert betas == pytest.approx(np.array([[a], [0.0]]))
-        lobs = linear_realization(al, betas, M=M)
+        lobs = linear_realization(al, betas)
         assert lobs.A == pytest.approx(np.array([[-a]]))
         assert lobs.B == pytest.approx(np.array([[-a * a]]))
         assert lobs.C == pytest.approx(np.array([[1.0]]))
@@ -271,6 +272,20 @@ def test_observer_file_roundtrip_realization(tmp_path, load_schema):
     assert back.A == pytest.approx(lobs.A)
     assert back.B == pytest.approx(lobs.B)
     assert back.D == pytest.approx(lobs.D)
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [({"A": [[5.0]], "C": [[7.0]]}, "A"), ({"B": [[-9.0, 0.0]]}, "B"), ({"C": []}, "C"),
+     ({"D": [[3.0], [3.0]]}, "D")],
+    ids=["values", "extra-column", "empty", "extra-row"],
+)
+def test_load_observer_refuses_matrices_off_the_realization(tmp_path, edit, key):
+    raw = design_linear_observer(builtin_double_integrator(), [-3.0]).to_dict()
+    path = tmp_path / "lobs.json"
+    path.write_text(json.dumps({**raw, **edit}))
+    with pytest.raises(SynthesisError, match=re.escape(f"{path}: '{key}' is {edit[key]!r}")):
+        load_observer(path)
 
 
 def test_load_observer_rejects_unknown_shape(tmp_path):

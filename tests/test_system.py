@@ -36,11 +36,6 @@ def test_batch_reactor_shape():
         assert lo < hi
 
 
-def test_batch_reactor_rates_must_be_positive():
-    with pytest.raises(SystemDefError):
-        builtin_batch_reactor(k1=0.0)
-
-
 def test_cstr_shape():
     sys_ = builtin_cstr()
     assert sys_.state_names == ("cA", "theta", "thetaj")
