@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Split the start-up of a funcobs CLI process into its parts.
 
-Times fresh interpreters running `-c pass`, `-c "import numpy"` and
-`-c "import funcobs.cli"`, interleaved round by round so that drift of the
-machine's speed falls on all three alike, and prints one JSON line: the
-median wall and user+sys seconds and the median max RSS (MB) of each, and
-the number of threads the process holds after `import funcobs.cli` (null
-where /proc/self/task does not exist).  Max RSS is what `os.wait4` reports,
+Times fresh interpreters running `-c pass`, `-c "import numpy"`,
+`-c "import funcobs.cli"` in the calling environment, and
+`-c "import funcobs.cli"` again from cached bytecode, interleaved round by
+round so that drift of the machine's speed falls on all four alike, and
+prints one JSON line: the median wall and user+sys seconds and the median
+max RSS (MB) of each, and the number of threads the process holds after
+`import funcobs.cli` (null where /proc/self/task does not exist).  Max RSS is what `os.wait4` reports,
 as perfbench measures it; on Linux a child inherits the RSS of the process
 that spawns it as a floor, so run the script on its own, not from a larger
 process.  funcobs is imported from this checkout's src/; the thread
@@ -14,7 +15,11 @@ variables of the calling environment pass through, so
 
     OPENBLAS_NUM_THREADS=2 python scripts/startup_split.py --runs 25
 
-shows the cost of a BLAS pool.  Standard library only.
+shows the cost of a BLAS pool.  The cached-bytecode run drops
+PYTHONDONTWRITEBYTECODE and sets PYTHONPYCACHEPREFIX to a temporary
+directory, never the checkout, which one untimed run fills first; with
+PYTHONDONTWRITEBYTECODE=1 in the calling environment, the two funcobs
+imports differ by the time spent compiling.  Standard library only.
 """
 
 import argparse
@@ -23,10 +28,17 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-CODES = {"pass": "pass", "import numpy": "import numpy", "import funcobs.cli": "import funcobs.cli"}
+CACHED = "import funcobs.cli, cached bytecode"
+CODES = {
+    "pass": "pass",
+    "import numpy": "import numpy",
+    "import funcobs.cli": "import funcobs.cli",
+    CACHED: "import funcobs.cli",
+}
 TASKS_CODE = (
     "import json, os, funcobs.cli; t = '/proc/self/task'; "
     "print(json.dumps(len(os.listdir(t)) if os.path.isdir(t) else None))"
@@ -56,9 +68,14 @@ def startup_split(runs: int) -> dict:
     env = _env()
     names = list(CODES)
     samples = {name: [] for name in names}
-    for r in range(runs):
-        for name in names[r % len(names):] + names[: r % len(names)]:
-            samples[name].append(run_once(CODES[name], env))
+    with tempfile.TemporaryDirectory() as cache:
+        envs = dict.fromkeys(names, env)
+        envs[CACHED] = {k: v for k, v in env.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        envs[CACHED]["PYTHONPYCACHEPREFIX"] = cache
+        run_once(CODES[CACHED], envs[CACHED])  # fills the cache, untimed
+        for r in range(runs):
+            for name in names[r % len(names):] + names[: r % len(names)]:
+                samples[name].append(run_once(CODES[name], envs[name]))
     out = subprocess.run([sys.executable, "-c", TASKS_CODE], env=env, capture_output=True, text=True, check=True)
     return {
         "runs": runs,

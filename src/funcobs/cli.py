@@ -28,6 +28,7 @@ from .expr import EvalError, ExprError, to_text
 from .lie import LieError
 from .observability import (
     ObservabilityError,
+    _check_psi_against_system,
     functional_index_candidate,
     functional_rank_check,
     load_psi,
@@ -435,7 +436,7 @@ def _sim_summary(cfg: RunConfig, trace: SimTrace, alphas, e_init, extra: dict) -
         "defaults": dict(DEFAULTS),
         "dt": cfg.dt,
         "t_final": cfg.t_final,
-        "event": trace.meta.get("event"),
+        "event": trace.event,
         "n_recorded": int(trace.t.size),
         "max_abs_error": float(np.max(np.abs(trace.err))) if trace.err.size else None,
         "final_error": float(trace.err[-1]) if trace.err.size else None,
@@ -519,6 +520,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         trace, summary = _simulate_realized(cfg, load_linear_system(cfg.linear), cfg.linear, obs)
     else:
         sys_, label = _resolve_system(cfg)
+        _check_psi_against_system(sys_, obs.T, f"{cfg.observer}: T", obs.v)
         trace, summary = _simulate_chain(cfg, sys_, label, obs)
     _print_sim_summary(summary)
     out = _outdir(cfg, default=".")
@@ -528,7 +530,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     write_json(sum_path, summary)
     print(f"wrote {trace_path}")
     print(f"wrote {sum_path}")
-    event = trace.meta.get("event")
+    event = trace.event
     if event == "divergence":
         print("simulation diverged; trace truncated")
     elif event == "evaluation-failure":
@@ -623,7 +625,7 @@ def cmd_demo(cfg: RunConfig) -> int:
     }
     write_json(os.path.join(out, "report.json"), report)
     print(f"wrote artifacts to {out}")
-    return EXIT_DIVERGED if trace.meta.get("event") else EXIT_OK
+    return EXIT_DIVERGED if trace.event else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

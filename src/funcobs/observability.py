@@ -304,7 +304,9 @@ def save_psi(rep: PsiRepresentation, path):
     write_json(path, {"v": rep.v, "psi": [to_text(e) for e in rep.psi]})
 
 
-def _check_psi_against_system(sys: SystemDef, e: Expr, label: str):
+def _check_psi_against_system(sys: SystemDef, e: Expr, label: str, v: int):
+    """Refuse what the order-v measurement derivatives of sys cannot supply:
+    a state, an unknown name, or w<i>_<j> with i > v or j > p."""
     names, wvars = free_symbols(e)
     for nm in sorted(names):
         if nm in sys.state_names:
@@ -315,6 +317,8 @@ def _check_psi_against_system(sys: SystemDef, e: Expr, label: str):
         if nm not in sys.params:
             raise ObservabilityError(f"unknown symbol '{nm}' in {label}")
     for i, j in sorted(wvars):
+        if i > v:
+            raise ObservabilityError(f"{label} uses w{i}_{j} of derivative order {i} > v={v}")
         if j > sys.p:
             raise ObservabilityError(
                 f"{label} uses w{i}_{j} but the system has only {sys.p} output(s)"
@@ -341,7 +345,7 @@ def verify_psi(
     compare against the k-th derivative of the target, numerically over the
     box.  On success the representation is marked verified."""
     for k, e in enumerate(rep.psi):
-        _check_psi_against_system(sys, e, f"psi[{k}]")
+        _check_psi_against_system(sys, e, f"psi[{k}]", rep.v)
     subs = measured_derivatives(sys, rep.v)
     Q = target_derivatives(sys, rep.v)
     residuals = []

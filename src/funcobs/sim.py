@@ -140,10 +140,17 @@ def _rk4_kernel(stage, record, s0, dt: float, n_steps: int, check=None):
     return np.frombuffer(vals, float).reshape(-1, m + len(outs)), event
 
 
-def _rollout(sys: SystemDef, stage, s0, dt, n_steps, zhat=None):
-    """Kernel rollout of a state that starts with the plant's.  zhat(s),
-    when given, is the estimate at the row state s as a `_py_block` root;
-    it is recorded and checked against DIVERGENCE_LIMIT."""
+def _rollout(sys: SystemDef, x0, obs0, stage, t_final: float, dt: float, zhat=None) -> SimTrace:
+    """Kernel rollout of the plant from x0 and the observer from obs0, the
+    state being the plant's followed by the observer's.  zhat(s), when
+    given, is the estimate at the row state s as a `_py_block` root; it is
+    recorded and checked against DIVERGENCE_LIMIT, and err = zhat - z.
+    Without it zhat and err are NaN."""
+    n_steps = _steps(t_final, dt)
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (sys.n,):
+        raise SimError(f"x0 must have {sys.n} entries")
+    s0 = np.concatenate((x0, obs0))
 
     def record(s):
         slots = dict(zip(sys.state_names, s))
@@ -152,29 +159,25 @@ def _rollout(sys: SystemDef, stage, s0, dt, n_steps, zhat=None):
 
     m, p = len(s0), sys.p
     table, event = _rk4_kernel(stage, record, s0, dt, n_steps, p + 1 if zhat else None)
+    z = table[:, m + p]
     zh = table[:, m + p + 1] if zhat else np.full(table.shape[0], np.nan)
-    return table[:, : sys.n], table[:, m : m + p], table[:, m + p], zh, event
+    return _trace(dt, t_final, event, table[:, : sys.n], table[:, m : m + p], z, zh, zh - z)
 
 
-def _trace(dt, t_final, event, x, y, z, zhat, err, **extra) -> SimTrace:
-    meta = {"integrator": "rk4", "dt": dt, "t_final": t_final, "event": event}
-    meta.update(n_recorded=x.shape[0], **extra)
-    return SimTrace(t=np.arange(x.shape[0]) * dt, x=x, y=y, z=z, zhat=zhat, err=err, meta=meta)
+def _trace(dt, t_final, event, x, y, z, zhat, err) -> SimTrace:
+    n_rec = x.shape[0]
+    meta = {"integrator": "rk4", "dt": dt, "t_final": t_final, "event": event, "n_recorded": n_rec}
+    return SimTrace(t=np.arange(n_rec) * dt, x=x, y=y, z=z, zhat=zhat, err=err, meta=meta)
 
 
 def integrate_plant(sys: SystemDef, x0, t_final: float, dt: float = 1e-3) -> SimTrace:
     """Plant-only rollout recording states, outputs and the target."""
-    n_steps = _steps(t_final, dt)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (sys.n,):
-        raise SimError(f"x0 must have {sys.n} entries")
 
     def stage(u):
         slots = dict(zip(sys.state_names, u))
         return _py_block([(e, slots) for e in sys.f], sys.params)
 
-    x, y, z, zh, event = _rollout(sys, stage, x0, dt, n_steps)
-    return _trace(dt, t_final, event, x, y, z, zh, np.full(x.shape[0], np.nan))
+    return _rollout(sys, x0, (), stage, t_final, dt)
 
 
 def chain_init_exact(sys: SystemDef, x0, v: int) -> np.ndarray:
@@ -200,12 +203,8 @@ def simulate_coupled(
     the top equation is driven by T evaluated on the plant's current output
     derivatives, with the assigned-polynomial feedback.
     """
-    n_steps = _steps(t_final, dt)
     v = obs.v
-    x0 = np.asarray(x0, dtype=float)
     chain0 = np.asarray(chain0, dtype=float)
-    if x0.shape != (sys.n,):
-        raise SimError(f"x0 must have {sys.n} entries")
     if chain0.shape != (v,):
         raise SimError(f"chain0 must have v={v} entries")
 
@@ -220,9 +219,7 @@ def simulate_coupled(
         feedback = "".join(f" - ({a!r})*{u[n + v - k]}" for k, a in enumerate(obs.alphas.alphas, 1))
         return lines, f + u[n + 1 :] + [f"({T}{feedback})"]
 
-    s0 = np.concatenate((x0, chain0))
-    x, y, z, zh, event = _rollout(sys, stage, s0, dt, n_steps, zhat=lambda s: s[n])
-    return _trace(dt, t_final, event, x, y, z, zh, zh - z, v=v, chain0=chain0.tolist())
+    return _rollout(sys, x0, chain0, stage, t_final, dt, zhat=lambda s: s[n])
 
 
 def simulate_custom_observer(
@@ -240,11 +237,7 @@ def simulate_custom_observer(
     reference the observer states as xi1..xim, the measurements as y1..yp,
     and the plant parameters.
     """
-    n_steps = _steps(t_final, dt)
-    x0 = np.asarray(x0, dtype=float)
     xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
-    if x0.shape != (sys.n,):
-        raise SimError(f"x0 must have {sys.n} entries")
     m = xi0.size
     if len(xi_rhs) != m:
         raise SimError("xi0 length must match the number of observer state equations")
@@ -263,11 +256,7 @@ def simulate_custom_observer(
         xs, obs = slots(u)
         return _py_block([(e, xs) for e in sys.f] + [(e, obs) for e in xi_rhs], sys.params)
 
-    s0 = np.concatenate((x0, xi0))
-    x, y, z, zh, event = _rollout(
-        sys, stage, s0, dt, n_steps, zhat=lambda s: (zhat_expr, slots(s)[1])
-    )
-    return _trace(dt, t_final, event, x, y, z, zh, zh - z, observer_states=m)
+    return _rollout(sys, x0, xi0, stage, t_final, dt, zhat=lambda s: (zhat_expr, slots(s)[1]))
 
 
 def simulate_linear_observer(
@@ -317,7 +306,7 @@ def simulate_linear_observer(
             break
     states = states[: last + 1]
     z, zh = states[:, :n] @ lsys.q[0], states @ zh_row
-    return _trace(dt, t_final, event, states[:, :n], states[:, :n] @ lsys.H.T, z, zh, zh - z, v=v)
+    return _trace(dt, t_final, event, states[:, :n], states[:, :n] @ lsys.H.T, z, zh, zh - z)
 
 
 # ---------------------------------------------------------------------------

@@ -716,6 +716,70 @@ def test_synthesize_non_finite_pole_exit_2(tmp_path, capsys, route, pole):
     assert not (tmp_path / "observer.json").exists()
 
 
+@pytest.mark.parametrize(
+    "T,message",
+    [
+        ("w2_1 + 2*w0_1", "{path}: T uses w2_1 of derivative order 2 > v=1"),
+        ("w1_2 + 2*w0_1", "{path}: T uses w1_2 but the system has only 1 output(s)"),
+        ("foo*w1_1", "unknown symbol 'foo' in {path}: T"),
+        ("cA + w1_1", "{path}: T references state 'cA' directly"),
+    ],
+    ids=["order-above-v", "output-above-p", "unknown-name", "state"],
+)
+def test_simulate_T_reading_what_the_chain_cannot_supply_exit_2(tmp_path, capsys, T, message):
+    assert _simulate_batch(tmp_path, "--x0=1,0.2,0.1", observer={**OBSERVER_V1, "T": T}) == 2
+    assert f"error: {message.format(path=tmp_path / 'observer.json')}" in capsys.readouterr().out
+    assert not (tmp_path / "run").exists()
+
+
+def _refusal_files(tmp_path) -> dict:
+    """Paths of the input files the CLI refusal cases read, by name."""
+    docs = {"bad_psi": {"v": 1, "psi": ["w0_1", "w1_1"]}, "observer": OBSERVER_V1}
+    paths = {"psi": PSI_BATCH, "linear": str(data_path("lin_double_integrator.json")),
+             "system": str(tmp_path / "sys.json"),
+             "realized": str(_linear_observer_file(tmp_path / "linear"))}
+    save_system(builtin_batch_reactor(), paths["system"])
+    for name, doc in docs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(doc, fh)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ("analyze --builtin batch-reactor --samples 0", "--samples must be >= 1"),
+        ("analyze --builtin batch-reactor --m-max 0", "--m-max must be >= 1"),
+        ("analyze --builtin batch-reactor --v-max 0", "--v-max must be >= 1"),
+        ("simulate --builtin batch-reactor --init offset=1,2", "cannot parse 'offset=1,2'"),
+        ("analyze {system} --builtin batch-reactor",
+         "give either a system file or --builtin, not both"),
+        ("synthesize --builtin batch-reactor --poles=-1",
+         "--psi is required for nonlinear synthesis"),
+        ("synthesize --builtin batch-reactor --psi {psi}", "--poles is required"),
+        ("synthesize --linear {linear}", "--poles is required"),
+        ("synthesize --builtin batch-reactor --psi {bad_psi} --poles=-1",
+         "psi representation failed verification against the system; residuals "),
+        ("simulate --builtin batch-reactor --observer {observer}",
+         "--x0 is required for simulation"),
+        ("simulate --builtin batch-reactor --observer {observer} --x0=1,0.2",
+         "--x0 needs 3 values for this system"),
+        ("simulate --builtin batch-reactor --observer {realized} --x0=1,0.2,0.1",
+         "a realized linear observer needs --linear with the plant matrices"),
+    ],
+    ids=["samples-0", "m-max-0", "v-max-0", "offset-two-values", "file-and-builtin",
+         "nonlinear-no-psi", "nonlinear-no-poles", "linear-no-poles", "psi-fails-verification",
+         "no-x0", "short-x0", "realized-no-linear"],
+)
+def test_cli_refusal_exit_2(tmp_path, capsys, args, message):
+    out = tmp_path / "run"
+    argv = args.format(**_refusal_files(tmp_path)).split()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().out
+    assert not out.exists()
+
+
 def _with(doc: dict, key: str, value) -> dict:
     """A copy of a JSON document with one entry set; `key` may be 'outer.inner'."""
     doc = json.loads(json.dumps(doc))
