@@ -29,8 +29,8 @@ def main(argv=None) -> int:
 
     sys_ = builtin_batch_reactor()
     rep = load_psi(data_path("psi_batch.json"))
-    ver = verify_psi(sys_, rep)
-    if not ver.passed:
+    verify_psi(sys_, rep)
+    if not rep.verified:
         print("representation failed verification", file=sys.stderr)
         return 1
 

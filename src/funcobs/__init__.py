@@ -19,7 +19,7 @@ _EXPORTS = {
     "lie": """lie_derivative lie_table measured_derivatives target_derivatives
         observability_jacobian lie_series_predict""",
     "observability": """RankReport FunctionalRankCheck FunctionalIndexScan
-        PsiRepresentation PsiVerification LiftResult state_observability_rank
+        PsiRepresentation LiftResult state_observability_rank
         observability_index functional_rank_check functional_index_candidate
         verify_psi lift_psi load_psi save_psi numeric_rank""",
     "synthesis": """AlphaCoeffs ObserverIO LinearObserver UnstablePolesError

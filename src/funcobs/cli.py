@@ -24,7 +24,7 @@ if "numpy" not in sys.modules:
     # exists and the variable would only leak into child processes.
     os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-from .expr import EvalError, ExprError, to_text
+from .expr import EQUIV_RTOL, EvalError, ExprError, evaluate, to_text
 from .lie import LieError
 from .observability import (
     ObservabilityError,
@@ -41,7 +41,6 @@ from .sim import (
     _check_outputs,
     _steps,
     chain_init_exact,
-    compile_checked,
     error_decay_fit,
     exact_error_grid,
     simulate_coupled,
@@ -234,13 +233,14 @@ def cmd_analyze(cfg: RunConfig) -> int:
     sys_, label = _resolve_system(cfg)
     payload = _analysis_payload(cfg, sys_, label)
     if cfg.psi is not None:
-        ver = verify_psi(sys_, load_psi(cfg.psi), n_samples=cfg.samples, seed=cfg.seed)
+        rep = load_psi(cfg.psi)
+        residuals = [r.max_residual for r in verify_psi(sys_, rep, n_samples=cfg.samples, seed=cfg.seed)]
         payload["psi_check"] = {
-            "v": ver.v,
-            "passed": ver.passed,
-            "max_residual": max(ver.residuals),
-            "residuals": ver.residuals,
-            "rtol": ver.rtol,
+            "v": rep.v,
+            "passed": rep.verified,
+            "max_residual": max(residuals),
+            "residuals": residuals,
+            "rtol": EQUIV_RTOL,
         }
     print("== funcobs analyze ==")
     print(HEADER)
@@ -293,20 +293,20 @@ def _design(cfg: RunConfig, sys_: SystemDef):
     if not cfg.poles:
         raise CliInputError("--poles is required")
     rep = load_psi(cfg.psi)
-    ver = verify_psi(sys_, rep, n_samples=cfg.samples, seed=cfg.seed)
-    if not ver.passed:
+    residuals = [r.max_residual for r in verify_psi(sys_, rep, n_samples=cfg.samples, seed=cfg.seed)]
+    if not rep.verified:
         raise CliInputError(
             "psi representation failed verification against the system; residuals "
-            + ", ".join(f"{r:.3e}" for r in ver.residuals)
+            + ", ".join(f"{r:.3e}" for r in residuals)
         )
     obs = synthesize_nonlinear(rep, poles_to_alphas(cfg.poles), allow_unstable=cfg.allow_unstable)
     inv = verify_invariance(sys_, obs, n_samples=cfg.samples, seed=cfg.seed)
-    return ver, obs, inv
+    return max(residuals), obs, inv
 
 
 def _synthesize_nonlinear(cfg: RunConfig) -> tuple[dict, ObserverIO]:
     sys_, label = _resolve_system(cfg)
-    ver, obs, inv = _design(cfg, sys_)
+    psi_residual, obs, inv = _design(cfg, sys_)
     payload = {
         "report": "synthesis",
         "defaults": dict(DEFAULTS),
@@ -315,16 +315,16 @@ def _synthesize_nonlinear(cfg: RunConfig) -> tuple[dict, ObserverIO]:
         "poles": [[p.real, p.imag] for p in cfg.poles],
         "observer": obs.to_dict(),
         "hurwitz": obs.alphas.hurwitz,
-        "psi_max_residual": max(ver.residuals),
-        "invariance": {"max_residual": inv.max_residual, "passed": inv.passed, "rtol": inv.rtol},
+        "psi_max_residual": psi_residual,
+        "invariance": {"max_residual": inv.max_residual, "passed": inv.equivalent, "rtol": EQUIV_RTOL},
     }
     print("== funcobs synthesize ==")
     print(HEADER)
     print(f"system: {label}; psi order v={obs.v}; poles {cfg.poles}")
-    print(f"psi verification: max residual {max(ver.residuals):.3e}")
+    print(f"psi verification: max residual {psi_residual:.3e}")
     print(f"alphas (monic coefficients, high to low): {list(obs.alphas.alphas)}")
     print(f"T = {to_text(obs.T)}")
-    word = "PASS" if inv.passed else "FAIL"
+    word = "PASS" if inv.equivalent else "FAIL"
     print(f"invariance check: {word}, max residual {inv.max_residual:.3e}")
     return payload, obs
 
@@ -407,12 +407,13 @@ def _invariance_drift(sys_: SystemDef, obs: ObserverIO, trace: SimTrace) -> floa
     None for a trace with no rows."""
     if not trace.t.size:
         return None
-    fn = compile_checked(invariance_identity(sys_, obs), sys_.state_names, sys_.params)
+    lhs, rhs = invariance_identity(sys_, obs)
     stride = max(1, trace.x.shape[0] // 200)
     worst = 0.0
     for row in trace.x[::stride].tolist():
+        b = sys_.bindings(row)
         try:
-            lv, rv = fn(row)
+            lv, rv = evaluate(lhs, b), evaluate(rhs, b)
         except EvalError:
             continue
         worst = max(worst, abs(lv - rv))
@@ -576,9 +577,9 @@ def _demo_chain(cfg: RunConfig):
         f"{idx if idx is not None else 'NOT FOUND (state rank deficient)'}; "
         f"functional candidate v={analysis['functional_index_candidate']}"
     )
-    ver, obs, inv = _design(cfg, sys_)
+    psi_residual, obs, inv = _design(cfg, sys_)
     print(
-        f"synthesis: poles {cfg.poles}; psi residual {max(ver.residuals):.3e}; "
+        f"synthesis: poles {cfg.poles}; psi residual {psi_residual:.3e}; "
         f"invariance residual {inv.max_residual:.3e}"
     )
     print(f"T = {to_text(obs.T)}")
@@ -586,7 +587,7 @@ def _demo_chain(cfg: RunConfig):
     return obs, trace, summary, {
         "analysis": analysis,
         "observer": obs.to_dict(),
-        "psi_max_residual": max(ver.residuals),
+        "psi_max_residual": psi_residual,
         "invariance_max_residual": inv.max_residual,
     }
 

@@ -881,12 +881,13 @@ def seeded_uniform(seed: int, bounds, n: int) -> list[list[float]]:
 # ---------------------------------------------------------------------------
 # numeric equivalence
 
+EQUIV_RTOL = 1e-9
+
 
 @dataclass
 class EquivalenceReport:
     equivalent: bool
     max_residual: float
-    rtol: float
     n_samples: int
     n_skipped: int
     worst_point: dict | None
@@ -899,11 +900,10 @@ def equivalent_numeric(
     box: dict[str, tuple[float, float]],
     n: int = 100,
     seed: int = 42,
-    rtol: float = 1e-9,
 ) -> EquivalenceReport:
     """Seeded randomized check that e1 and e2 agree numerically on a box.
 
-    Agreement at a sample means |e1 - e2| <= rtol * (1 + max(|e1|, |e2|)).
+    Agreement at a sample means |e1 - e2| <= EQUIV_RTOL * (1 + max(|e1|, |e2|)).
     Rational constants are exact, so residuals on purely rational inputs
     reflect only double rounding.  Sample points where either expression
     fails to evaluate are skipped and counted; if more than half of the
@@ -939,7 +939,7 @@ def equivalent_numeric(
         if res > max_res:
             max_res = res
             worst_point = point
-        if res > rtol:
+        if res > EQUIV_RTOL:
             ok = False
     if skipped > n // 2:
         raise IndeterminateEquivalence(
@@ -948,7 +948,6 @@ def equivalent_numeric(
     return EquivalenceReport(
         equivalent=ok,
         max_residual=max_res,
-        rtol=rtol,
         n_samples=n,
         n_skipped=skipped,
         worst_point=worst_point,

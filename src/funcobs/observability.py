@@ -11,12 +11,13 @@ evaluated successfully.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .expr import (
     Const,
+    EquivalenceReport,
     Expr,
     Product,
     Sum,
@@ -325,41 +326,23 @@ def _check_psi_against_system(sys: SystemDef, e: Expr, label: str, v: int):
             )
 
 
-@dataclass
-class PsiVerification:
-    v: int
-    residuals: list[float]
-    passed: bool
-    rtol: float
-    reports: list = field(repr=False, default_factory=list)
-
-
 def verify_psi(
-    sys: SystemDef,
-    rep: PsiRepresentation,
-    n_samples: int = 100,
-    seed: int = 42,
-    rtol: float = 1e-9,
-) -> PsiVerification:
+    sys: SystemDef, rep: PsiRepresentation, n_samples: int = 100, seed: int = 42
+) -> list[EquivalenceReport]:
     """Substitute the output-derivative expressions into each psi[k] and
     compare against the k-th derivative of the target, numerically over the
-    box.  On success the representation is marked verified."""
+    box; report k is order k.  The representation is marked verified
+    exactly when every order agrees."""
     for k, e in enumerate(rep.psi):
         _check_psi_against_system(sys, e, f"psi[{k}]", rep.v)
     subs = measured_derivatives(sys, rep.v)
     Q = target_derivatives(sys, rep.v)
-    residuals = []
-    reports = []
-    ok = True
-    for k in range(rep.v + 1):
-        realized = substitute(rep.psi[k], subs)
-        r = system_equivalence(sys, Q[k], realized, n=n_samples, seed=seed, rtol=rtol)
-        residuals.append(r.max_residual)
-        reports.append(r)
-        ok = ok and r.equivalent
-    if ok:
-        rep.verified = True
-    return PsiVerification(v=rep.v, residuals=residuals, passed=ok, rtol=rtol, reports=reports)
+    reports = [
+        system_equivalence(sys, Q[k], substitute(rep.psi[k], subs), n=n_samples, seed=seed)
+        for k in range(rep.v + 1)
+    ]
+    rep.verified = all(r.equivalent for r in reports)
+    return reports
 
 
 @dataclass

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import _PY_NS, EvalError, _py_block, as_expr, compile_exprs
+from .expr import _PY_NS, _py_block, as_expr, evaluate
 from .lie import measured_derivatives, target_derivatives
 from .synthesis import AlphaCoeffs, LinearObserver, ObserverIO
 from .system import LinearSystemDef, SystemDef
@@ -73,23 +73,6 @@ def _check_outputs(lsys: LinearSystemDef, lobs: LinearObserver):
 
 
 _DOMAIN_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
-
-
-def compile_checked(exprs, names, consts):
-    """compile_exprs, with the domain errors of the compiled expressions
-    (ZeroDivisionError, ValueError, OverflowError) re-raised as EvalError.
-    Callers catch EvalError alone, so an error in their own code propagates
-    instead of passing for a failure of the expressions."""
-    exprs = tuple(exprs)
-    fn = compile_exprs(exprs, names, consts)
-
-    def call(vals):
-        try:
-            return fn(vals)
-        except _DOMAIN_ERRORS as exc:
-            raise EvalError(str(exc), ", ".join(map(str, exprs))) from exc
-
-    return call
 
 
 def _rk4_kernel(stage, record, s0, dt: float, n_steps: int, check=None):
@@ -183,8 +166,6 @@ def integrate_plant(sys: SystemDef, x0, t_final: float, dt: float = 1e-3) -> Sim
 def chain_init_exact(sys: SystemDef, x0, v: int) -> np.ndarray:
     """Estimate-chain start on the invariant manifold: the target and its
     derivatives along the flow at x0, orders 0..v-1."""
-    from .expr import evaluate
-
     b = sys.bindings(x0)
     return np.array([evaluate(e, b) for e in target_derivatives(sys, v - 1)])
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Const, Expr, Product, Sum, WVar, parse, simplify, substitute, to_text
+from .expr import Const, EquivalenceReport, Expr, Product, Sum, WVar, parse, simplify, substitute, to_text
 from .lie import measured_derivatives, target_derivatives
 from .observability import PsiRepresentation, numeric_rank
 from .system import LinearSystemDef, SystemDef, _read_json, system_equivalence, write_json
@@ -128,27 +128,11 @@ def invariance_identity(sys: SystemDef, obs: ObserverIO) -> tuple[Expr, Expr]:
     return lhs, rhs
 
 
-@dataclass
-class InvarianceReport:
-    max_residual: float
-    passed: bool
-    rtol: float
-    report: object
-
-
 def verify_invariance(
-    sys: SystemDef,
-    obs: ObserverIO,
-    n_samples: int = 100,
-    seed: int = 42,
-    rtol: float = 1e-9,
-) -> InvarianceReport:
+    sys: SystemDef, obs: ObserverIO, n_samples: int = 100, seed: int = 42
+) -> EquivalenceReport:
     """Check the design identity (`invariance_identity`) numerically on the box."""
-    lhs, rhs = invariance_identity(sys, obs)
-    r = system_equivalence(sys, lhs, rhs, n=n_samples, seed=seed, rtol=rtol)
-    return InvarianceReport(
-        max_residual=r.max_residual, passed=r.equivalent, rtol=rtol, report=r
-    )
+    return system_equivalence(sys, *invariance_identity(sys, obs), n=n_samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from importlib import resources
 import numpy as np
 
 from .expr import (
+    EquivalenceReport,
     Expr,
     FUNCTIONS,
     as_expr,
@@ -211,14 +212,14 @@ def save_system(sys: SystemDef, path):
 
 
 def system_equivalence(
-    sys: SystemDef, e1: Expr, e2: Expr, n: int = 100, seed: int = 42, rtol: float = 1e-9
-):
+    sys: SystemDef, e1: Expr, e2: Expr, n: int = 100, seed: int = 42
+) -> EquivalenceReport:
     """Numeric equivalence of two state-space expressions over the system box,
     with the system's parameters pinned to their declared values."""
     box = {nm: sys.box[nm] for nm in sys.state_names}
     for nm, val in sys.params.items():
         box[nm] = (val, val)
-    return equivalent_numeric(e1, e2, box, n=n, seed=seed, rtol=rtol)
+    return equivalent_numeric(e1, e2, box, n=n, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,8 @@ def _passed(num, text):
 def batch_rep():
     sys_ = builtin_batch_reactor()
     rep = load_psi(data_path("psi_batch.json"))
-    ver = verify_psi(sys_, rep)
-    assert ver.passed
+    verify_psi(sys_, rep)
+    assert rep.verified
     return sys_, rep
 
 
@@ -63,8 +63,8 @@ def batch_rep():
 def cstr_rep():
     sys_ = builtin_cstr()
     rep = load_psi(data_path("psi_cstr.json"))
-    ver = verify_psi(sys_, rep, rtol=1e-8)
-    assert max(ver.residuals) <= 1e-8
+    ver = verify_psi(sys_, rep)
+    assert max(r.max_residual for r in ver) <= 1e-8
     return sys_, rep
 
 
@@ -119,11 +119,11 @@ def test_criterion_3_cstr_end_to_end(cstr_rep):
     t0 = time.perf_counter()
     sys_, rep = cstr_rep
 
-    ver = verify_psi(sys_, rep, rtol=1e-8)
-    assert max(ver.residuals) <= 1e-8
+    ver = verify_psi(sys_, rep)
+    assert max(r.max_residual for r in ver) <= 1e-8
 
     obs = synthesize_nonlinear(rep, poles_to_alphas([-1.0]))
-    inv = verify_invariance(sys_, obs, rtol=1e-8)
+    inv = verify_invariance(sys_, obs)
     assert inv.max_residual <= 1e-8
 
     chain0 = chain_init_exact(sys_, X0_CSTR, 1)

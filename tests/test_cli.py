@@ -21,7 +21,7 @@ from funcobs.cli import (
     parse_init,
     parse_poles,
 )
-from funcobs.system import builtin_batch_reactor, builtin_cstr, save_system
+from funcobs.system import builtin_batch_reactor, builtin_cstr, save_system, with_target
 
 PSI_BATCH = str(data_path("psi_batch.json"))
 
@@ -108,6 +108,21 @@ def test_analyze_builtin(tmp_path, capsys, load_schema):
     jsonschema.validate(payload, load_schema("analysis.schema.json"))
     assert payload["observability_index"] is None
     assert payload["functional_index_candidate"] == 1
+
+
+def test_analyze_reports_no_observer_order(tmp_path, capsys, load_schema):
+    # cC is not functionally observable from cB at any order up to v_max
+    sys_path = tmp_path / "sys.json"
+    save_system(with_target(builtin_batch_reactor(), "cC"), sys_path)
+    rc = main(["analyze", str(sys_path), "--out", str(tmp_path)])
+    assert rc == 0
+    assert "functional index candidate: none found up to v_max=3" in capsys.readouterr().out
+    payload = _read(tmp_path / "analysis.json")
+    jsonschema.validate(payload, load_schema("analysis.schema.json"))
+    assert payload["functional_index_candidate"] is None
+    check = payload["functional_rank_check"]
+    assert not check["holds"]
+    assert (check["n_agree"], check["n_checked"]) == (0, 100)
 
 
 def test_analyze_cstr_high_order(tmp_path):

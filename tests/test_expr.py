@@ -271,6 +271,20 @@ SIMPLIFY_CASES = [
     ("x/x", "1"),
     ("(x-1)/(x-1)", "1"),
     ("0*ln(x)", "0"),
+    # calls on a constant fold
+    ("exp(x - x)", "1"),
+    ("cos(0)", "1"),
+    ("sin(2*x - 2*x)", "0"),
+    ("ln(1)", "0"),
+    # sum terms divided by a constant combine
+    ("x/2 + x/2", "x"),
+    ("cA/3 - cA/3 + y", "y"),
+    # a float power that overflows stays unfolded
+    ("(1e200)^2*x", "1e+200^2*x"),
+    # zero to a negative power stays unfolded
+    ("x*0^-1", "x*0^-1"),
+    # a zero denominator is not folded away
+    ("x/(0.0*y)", "x/0"),
 ]
 
 

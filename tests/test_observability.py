@@ -25,6 +25,7 @@ from funcobs.observability import (
     verify_psi,
 )
 from funcobs.cli import builtin_double_integrator, data_path
+from funcobs.synthesis import poles_to_alphas, synthesize_nonlinear
 from funcobs.system import (
     SystemDef,
     builtin_batch_reactor,
@@ -217,8 +218,8 @@ def test_verify_psi_batch_exact():
     sys_ = builtin_batch_reactor()
     rep = load_psi(data_path("psi_batch.json"))
     ver = verify_psi(sys_, rep)
-    assert ver.passed
-    assert max(ver.residuals) <= 1e-12
+    assert all(r.equivalent for r in ver)
+    assert max(r.max_residual for r in ver) <= 1e-12
     assert rep.verified
 
 
@@ -226,16 +227,29 @@ def test_verify_psi_cstr():
     sys_ = builtin_cstr()
     rep = load_psi(data_path("psi_cstr.json"))
     ver = verify_psi(sys_, rep)
-    assert ver.passed
-    assert max(ver.residuals) <= 1e-8
+    assert rep.verified
+    assert max(r.max_residual for r in ver) <= 1e-8
 
 
 def test_verify_psi_rejects_wrong_representation():
     sys_ = builtin_batch_reactor()
     rep = PsiRepresentation(v=1, psi=(parse("w0_1"), parse("w1_1")))  # claims q = cB
     ver = verify_psi(sys_, rep)
-    assert not ver.passed
+    assert not all(r.equivalent for r in ver)
     assert not rep.verified
+
+
+def test_verify_psi_clears_a_stale_verified_flag():
+    # psi_batch reproduces cA's derivatives, not cC's: a second check against
+    # the other target fails and the earlier verdict must not survive it
+    rep = load_psi(data_path("psi_batch.json"))
+    verify_psi(builtin_batch_reactor(), rep)
+    assert rep.verified
+    ver = verify_psi(with_target(builtin_batch_reactor(), "cC"), rep)
+    assert not rep.verified
+    assert [r.equivalent for r in ver] == [False, False]
+    with pytest.warns(UserWarning, match="not been verified"):
+        synthesize_nonlinear(rep, poles_to_alphas([-2.0]))
 
 
 def test_verify_psi_rejects_state_references():

@@ -29,6 +29,14 @@ def test_pole_sweep_fits_the_assigned_poles(tmp_path):
         assert abs(float(r["relative_error"])) <= 1e-6
 
 
+def test_run_demos_writes_each_demo(tmp_path):
+    run_demos = _load_script("run_demos")
+    assert run_demos.main(["--out", str(tmp_path)]) == 0
+    for name in ("batch", "cstr", "linear"):
+        for artifact in ("report.json", "observer.json", "trace.csv"):
+            assert (tmp_path / name / artifact).is_file()
+
+
 def test_artifact_hashes_repeat(capsys):
     artifact_hashes = _load_script("artifact_hashes")
     printed = []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from funcobs import sim
-from funcobs.expr import EvalError, as_expr, compile_exprs, parse
+from funcobs.expr import as_expr, compile_exprs, parse
 from funcobs.lie import lie_table, measured_derivatives
 from funcobs.observability import load_psi, verify_psi
 from funcobs.cli import builtin_double_integrator, data_path
@@ -16,7 +16,6 @@ from funcobs.sim import (
     SimError,
     SimTrace,
     chain_init_exact,
-    compile_checked,
     error_decay_fit,
     exact_error_grid,
     exact_error_solution,
@@ -129,17 +128,6 @@ def test_division_by_zero_is_evaluation_failure():
     assert tr.meta["event"] == "evaluation-failure"
     assert tr.t.size == 1
     assert tr.x.tolist() == [[0.25]]
-
-
-def test_compile_checked_reports_domain_errors_only():
-    fn = compile_checked((parse("ln(x)"), parse("1/(x-1)")), ["x"], {})
-    assert fn([2.0]) == (math.log(2.0), 1.0)
-    with pytest.raises(EvalError, match="math domain error"):
-        fn([-1.0])
-    with pytest.raises(EvalError, match="division by zero"):
-        fn([1.0])
-    with pytest.raises(TypeError):
-        fn(None)  # a caller's bug, not a domain error
 
 
 def test_programming_error_in_rollout_propagates():
@@ -435,7 +423,7 @@ def test_float_plant_rollout_matches_numpy_loop():
 def _cstr_setup(lam):
     sys_ = builtin_cstr()
     rep = load_psi(data_path("psi_cstr.json"))
-    verify_psi(sys_, rep, rtol=1e-8)
+    verify_psi(sys_, rep)
     return sys_, synthesize_nonlinear(rep, poles_to_alphas([lam]))
 
 
@@ -631,7 +619,7 @@ def _list_rk4(rhs, out, s0, dt, n_steps, zhat_col=None):
                 k2 = rhs([a + h2 * b for a, b in zip(s, k1)])
                 k3 = rhs([a + h2 * b for a, b in zip(s, k2)])
                 k4 = rhs([a + dt * b for a, b in zip(s, k3)])
-            except EvalError:
+            except sim._DOMAIN_ERRORS:
                 return rows, "evaluation-failure"
             s = [
                 a + h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
@@ -641,7 +629,7 @@ def _list_rk4(rhs, out, s0, dt, n_steps, zhat_col=None):
             return rows, "divergence"
         try:
             outputs = out(s)
-        except EvalError:
+        except sim._DOMAIN_ERRORS:
             return rows, "evaluation-failure"
         rows.append(s + outputs)
         if zhat_col is not None and abs(outputs[zhat_col]) > DIVERGENCE_LIMIT:
@@ -652,8 +640,8 @@ def _list_rk4(rhs, out, s0, dt, n_steps, zhat_col=None):
 def _list_outputs(sys_, zhat=None):
     """y, z and, when given, zhat(s, y) of a row state s."""
     n = sys_.n
-    h_fn = compile_checked(sys_.h, sys_.state_names, sys_.params)
-    q_fn = compile_checked((sys_.q,), sys_.state_names, sys_.params)
+    h_fn = compile_exprs(sys_.h, sys_.state_names, sys_.params)
+    q_fn = compile_exprs((sys_.q,), sys_.state_names, sys_.params)
 
     def out(s):
         y = list(h_fn(s[:n]))
@@ -665,9 +653,9 @@ def _list_outputs(sys_, zhat=None):
 def _list_coupled_rhs(sys_, obs):
     v, n = obs.v, sys_.n
     wmap = measured_derivatives(sys_, v)
-    f_fn = compile_checked(sys_.f, sys_.state_names, sys_.params)
-    w_fn = compile_checked(list(wmap.values()), sys_.state_names, sys_.params)
-    T_fn = compile_checked((obs.T,), [f"w{i}_{j}" for i, j in wmap], sys_.params)
+    f_fn = compile_exprs(sys_.f, sys_.state_names, sys_.params)
+    w_fn = compile_exprs(list(wmap.values()), sys_.state_names, sys_.params)
+    T_fn = compile_exprs((obs.T,), [f"w{i}_{j}" for i, j in wmap], sys_.params)
     a = obs.alphas.alphas
 
     def rhs(s):
@@ -685,10 +673,10 @@ def _list_custom(sys_, xi_rhs, zhat):
     """(rhs, out) of a custom observer."""
     n = sys_.n
     names = [f"xi{i+1}" for i in range(len(xi_rhs))] + [f"y{j+1}" for j in range(sys_.p)]
-    f_fn = compile_checked(sys_.f, sys_.state_names, sys_.params)
-    h_fn = compile_checked(sys_.h, sys_.state_names, sys_.params)
-    rhs_fn = compile_checked(tuple(as_expr(e) for e in xi_rhs), names, sys_.params)
-    zhat_fn = compile_checked((as_expr(zhat),), names, sys_.params)
+    f_fn = compile_exprs(sys_.f, sys_.state_names, sys_.params)
+    h_fn = compile_exprs(sys_.h, sys_.state_names, sys_.params)
+    rhs_fn = compile_exprs(tuple(as_expr(e) for e in xi_rhs), names, sys_.params)
+    zhat_fn = compile_exprs((as_expr(zhat),), names, sys_.params)
 
     def rhs(s):
         x = s[:n]
@@ -717,7 +705,7 @@ def _kernel_case(case):
         )
         s0 = [1.0, 0.0]
         run = lambda: integrate_plant(sys_, np.array(s0), 2.0, dt=0.125)
-        rhs = compile_checked(sys_.f, sys_.state_names, sys_.params)
+        rhs = compile_exprs(sys_.f, sys_.state_names, sys_.params)
         return run, rhs, _list_outputs(sys_), s0, 0.125, 16, None, "evaluation-failure"
     if case == "custom-observer":
         xi_rhs = ["-2*xi1 - (1 - 2/k1)*(-2*y1 + k2*y1^2)"]

@@ -119,7 +119,7 @@ def test_invariance_batch_and_cstr():
     verify_psi(sysc, repc)
     obsc = synthesize_nonlinear(repc, poles_to_alphas([-1.0]))
     inv = verify_invariance(sysc, obsc)
-    assert inv.passed
+    assert inv.equivalent
     assert inv.max_residual <= 1e-8
 
 
@@ -127,7 +127,7 @@ def test_invariance_detects_wrong_map():
     sys_, obs = _batch_observer()
     bad = ObserverIO(v=obs.v, alphas=obs.alphas, T=parse("w1_1"))
     inv = verify_invariance(sys_, bad)
-    assert not inv.passed
+    assert not inv.equivalent
 
 
 # ---------------------------------------------------------------------------
