@@ -17,11 +17,10 @@ _EXPORTS = {
         load_linear_system save_linear_system linear_to_system builtin_batch_reactor
         builtin_cstr builtin_double_integrator data_path system_equivalence with_target""",
     "lie": """lie_derivative lie_table measured_derivatives target_derivatives
-        observability_jacobian lie_series_predict""",
+        lie_series_predict""",
     "observability": """RankReport FunctionalRankCheck FunctionalIndexScan
-        PsiRepresentation LiftResult state_observability_rank
-        observability_index functional_rank_check functional_index_candidate
-        verify_psi lift_psi load_psi save_psi numeric_rank""",
+        PsiRepresentation observability_index functional_rank_check
+        functional_index_candidate verify_psi load_psi numeric_rank""",
     "synthesis": """AlphaCoeffs ObserverIO LinearObserver UnstablePolesError
         SynthesisError poles_to_alphas make_alphas synthesize_nonlinear
         invariance_identity verify_invariance linear_functional_index compute_M
@@ -30,7 +29,7 @@ _EXPORTS = {
         linear_error_init save_observer load_observer""",
     "sim": """SimError SimTrace integrate_plant simulate_coupled
         simulate_custom_observer simulate_linear_observer chain_init_exact
-        exact_error_solution exact_error_grid error_decay_fit write_csv""",
+        exact_error_grid error_decay_fit write_csv""",
     "jets": "",
     "cli": "main",
 }

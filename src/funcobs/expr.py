@@ -331,8 +331,10 @@ def _is_atom(e: Expr) -> bool:
 def _pow_base_ok(e: Expr) -> bool:
     # a bare base reparses correctly if it is a symbol, a call, a nonnegative
     # integer or decimal constant, or a negation (unary minus binds tighter
-    # than '^' in this grammar)
-    if isinstance(e, (Sym, WVar, Call, Neg)):
+    # than '^' in this grammar) of anything but a fraction, whose '/' does not
+    if isinstance(e, Neg):
+        return not (isinstance(e.arg, Const) and "/" in _fmt_const(e.arg.value))
+    if isinstance(e, (Sym, WVar, Call)):
         return True
     if isinstance(e, Const):
         v = e.value

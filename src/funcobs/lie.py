@@ -3,14 +3,13 @@
 For a plant dx/dt = f(x), the directional (Lie) derivative of a scalar
 g is sum_i (dg/dx_i) * f_i; iterating it on the measured outputs yields
 the symbolic table of output derivatives that psi verification and the
-observer synthesis consume.  Values and gradients at points (Jacobians,
-series predictions) come from the Taylor-mode jets in `funcobs.jets`.
+observer synthesis consume.  Values at points (series predictions) come
+from the Taylor-mode jets in `funcobs.jets`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -72,35 +71,6 @@ def measured_derivatives(sys: SystemDef, v: int) -> dict[tuple[int, int], Expr]:
 def target_derivatives(sys: SystemDef, v: int) -> list[Expr]:
     """Derivatives of the estimation target along the flow, orders 0..v."""
     return [row[0] for row in lie_table(sys, (simplify(sys.q),), v + 1)]
-
-
-def observability_jacobian(sys: SystemDef, m: int, x) -> np.ndarray:
-    """Stacked gradients of the output derivatives of orders 0..m-1 at a point.
-
-    Rows follow `measured_derivatives` order.  Points outside the sampling
-    box are allowed but warned about, since the local tests only certify
-    behaviour on the box.  The gradients come from Taylor-mode jets, not
-    from a symbolic table; a non-finite entry raises EvalError.
-    """
-    if m < 1:
-        raise LieError("derivative table needs m >= 1")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sys.n,):
-        raise LieError(f"expected a point with {sys.n} coordinates")
-    for nm, val in zip(sys.state_names, x):
-        lo, hi = sys.box[nm]
-        if val < lo or val > hi:
-            warnings.warn(
-                f"evaluation point has {nm}={val:g} outside the box [{lo:g}, {hi:g}]",
-                stacklevel=2,
-            )
-            break
-    J = flow_derivatives(sys, sys.h, m, x[None, :])[0, :, :, 1:].reshape(-1, sys.n)
-    bad = ~np.isfinite(J).all(axis=1)
-    if bad.any():
-        i, j = divmod(int(np.argmax(bad)), sys.p)
-        raise EvalError(f"non-finite gradient of derivative order {i}", sys.h[j])
-    return J
 
 
 def lie_series_predict(sys: SystemDef, x0, t: float, m: int) -> list[float]:

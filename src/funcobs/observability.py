@@ -15,25 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import (
-    Const,
-    EquivalenceReport,
-    Expr,
-    Product,
-    Sum,
-    WVar,
-    differentiate,
-    free_symbols,
-    parse,
-    seeded_uniform,
-    simplify,
-    substitute,
-    to_text,
-)
+from .expr import EquivalenceReport, Expr, free_symbols, parse, seeded_uniform, substitute
 from .jets import MAX_ORDER, flow_derivatives
 from .lie import measured_derivatives, target_derivatives
-from .system import SystemDef, _read_json, system_equivalence, write_json
-from .system import check_shape, shipped_schema
+from .system import SystemDef, _read_json, check_shape, shipped_schema, system_equivalence
 
 RANK_RTOL = 1e-9
 RANK_FLOOR = 1e-12
@@ -144,13 +129,6 @@ def _gradient_stacks(
     return J[ok], G, int(np.count_nonzero(~ok))
 
 
-def state_observability_rank(
-    sys: SystemDef, m: int, n_samples: int = 100, seed: int = 42
-) -> RankReport:
-    """Rank of the stacked output-derivative gradients at sampled points."""
-    return observability_index(sys, m, n_samples, seed)[1][-1]
-
-
 def observability_index(
     sys: SystemDef, m_max: int, n_samples: int = 100, seed: int = 42
 ) -> tuple[int | None, list[RankReport]]:
@@ -230,9 +208,6 @@ class FunctionalIndexScan:
         "candidate order from sampled gradient-span tests; necessary, not sufficient"
     )
 
-    def checks_for(self, v: int) -> list[SpanCheck]:
-        return [c for c in self.checks if c.v == v]
-
 
 def functional_index_candidate(
     sys: SystemDef, v_max: int, n_samples: int = 100, seed: int = 42
@@ -301,10 +276,6 @@ def load_psi(path) -> PsiRepresentation:
     return PsiRepresentation(v=raw["v"], psi=tuple(parse(s) for s in raw["psi"]))
 
 
-def save_psi(rep: PsiRepresentation, path):
-    write_json(path, {"v": rep.v, "psi": [to_text(e) for e in rep.psi]})
-
-
 def _check_psi_against_system(sys: SystemDef, e: Expr, label: str, v: int):
     """Refuse what the order-v measurement derivatives of sys cannot supply:
     a state, an unknown name, or w<i>_<j> with i > v or j > p."""
@@ -343,34 +314,3 @@ def verify_psi(
     ]
     rep.verified = all(r.equivalent for r in reports)
     return reports
-
-
-@dataclass
-class LiftResult:
-    candidate: Expr
-    exceeds_order: bool
-    max_order: int
-
-
-def lift_psi(psi_k: Expr, p: int, v_cap: int) -> LiftResult:
-    """Formal time derivative of an expression over measurement derivatives:
-    each w<i>_<j> advances to w<i+1>_<j> via the chain rule.  The result is
-    flagged when it needs derivative orders beyond v_cap, which is exactly
-    the evidence that the candidate order is too small."""
-    _, wvars = free_symbols(psi_k)
-    for i, j in sorted(wvars):
-        if j > p:
-            raise ObservabilityError(f"w{i}_{j} exceeds the declared output count {p}")
-    terms = []
-    for i, j in sorted(wvars):
-        partial = differentiate(psi_k, f"w{i}_{j}")
-        if isinstance(partial, Const) and partial.value == 0:
-            continue
-        terms.append(Product((partial, WVar(i + 1, j))))
-    if not terms:
-        lifted: Expr = Const(0)
-    else:
-        lifted = simplify(terms[0] if len(terms) == 1 else Sum(tuple(terms)))
-    _, out_w = free_symbols(lifted)
-    max_order = max((i for i, _ in out_w), default=0)
-    return LiftResult(candidate=lifted, exceeds_order=max_order > v_cap, max_order=max_order)

@@ -321,34 +321,22 @@ def _error_companion(alphas: AlphaCoeffs) -> np.ndarray:
     return C
 
 
-def exact_error_solution(alphas: AlphaCoeffs, e_init, t: float) -> float:
-    """Error at time t under the assigned polynomial, from the initial error
-    and its derivatives.  Order one short-circuits to a scalar exponential;
-    higher orders go through the matrix exponential of the companion form."""
-    e_init = np.atleast_1d(np.asarray(e_init, dtype=float))
-    if e_init.shape != (alphas.v,):
-        raise SimError(f"e_init must have v={alphas.v} entries")
-    if alphas.v == 1:
-        return float(e_init[0] * math.exp(-alphas.alphas[0] * t))
-    C = _error_companion(alphas)
-    return float((_expm(C * t) @ e_init)[0])
-
-
 def exact_error_grid(alphas: AlphaCoeffs, e_init, t_grid) -> np.ndarray:
     """Exact error evaluated on a uniform time grid (single exponential of
     the step, then repeated application)."""
     t_grid = np.asarray(t_grid, dtype=float)
     e_init = np.atleast_1d(np.asarray(e_init, dtype=float))
+    if e_init.shape != (alphas.v,):
+        raise SimError(f"e_init must have v={alphas.v} entries")
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise SimError("need a one-dimensional time grid")
-    if t_grid.size == 1:
-        return np.array([exact_error_solution(alphas, e_init, float(t_grid[0]))])
     dts = np.diff(t_grid)
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
+    step = dts[0] if dts.size else 0.0
+    if not np.allclose(dts, step, rtol=1e-9, atol=1e-12):
         raise SimError("time grid must be uniform")
     C = _error_companion(alphas)
     u = _expm(C * t_grid[0]) @ e_init if t_grid[0] != 0 else e_init.copy()
-    Phi = _expm(C * dts[0])
+    Phi = _expm(C * step)
     if alphas.v == 1:  # the products of `Phi @ u` below, on floats
         steps = itertools.repeat(float(Phi[0, 0]), t_grid.size - 1)
         return np.fromiter(

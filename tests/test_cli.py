@@ -269,6 +269,28 @@ def test_states_given_as_a_string_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "analysis.json").exists()
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw: json.loads(json.dumps(raw).replace("cC", "w0_9")),
+         "state name 'w0_9' collides with the measurement-derivative convention"),
+        (lambda raw: json.loads(json.dumps(raw).replace("cC", "exp")),
+         "state name 'exp' shadows a function name"),
+        (lambda raw: {**raw, "box": {k: b for k, b in raw["box"].items() if k != "cC"}},
+         "box does not cover state 'cC'"),
+        (lambda raw: {**raw, "params": {**raw["params"], "k1": float("nan")}},
+         "parameter 'k1' is not finite"),
+    ],
+    ids=["w-name", "function-name", "box-gap", "nan-param"],
+)
+def test_system_file_check_exit_2(tmp_path, capsys, edit, message):
+    path = tmp_path / "sys.json"
+    save_system(builtin_batch_reactor(), path)
+    path.write_text(json.dumps(edit(_read(path))))
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().out == f"error: {message}\n"
+
+
 def test_all_samples_failing_exit_2(tmp_path, capsys):
     raw = builtin_batch_reactor().to_dict()
     raw["f"][0] = "-10^400*k1*cA/10^400"

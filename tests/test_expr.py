@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from funcobs.expr import (
     Call,
@@ -341,6 +341,7 @@ def test_simplify_preserves_value(e):
 
 
 @given(small_exprs())
+@example(Pow(Neg(Const(Fraction(1, 2))), 0))  # needs "(-1/2)^0": "-1/2^0" reads as -1
 def test_print_parse_roundtrip_random(e):
     assert parse(to_text(e)) is not None
     # value is preserved through printing, even if the tree is rebuilt

@@ -24,7 +24,6 @@ from funcobs.observability import (
     numeric_rank,
     observability_index,
     sample_states,
-    state_observability_rank,
 )
 from funcobs.system import SystemDef, builtin_batch_reactor, builtin_cstr, linear_to_system
 
@@ -277,8 +276,8 @@ def test_ln_domain_failures_skip_the_same_samples(h, q, skips):
     q0_ok = np.isfinite(qs[:, :1, :, 1:]).all(axis=(1, 2, 3))
     assert (0 < n - h_ok.sum() < n) if skips else h_ok.all()
 
-    assert state_observability_rank(sys_, m, n_samples=n, seed=SEED).n_failed == n - h_ok.sum()
     _, reports = observability_index(sys_, m, n_samples=n, seed=SEED)
+    assert reports[-1].n_failed == n - h_ok.sum()
     assert reports[0].n_failed == n - h_ok.sum()
     fc = functional_rank_check(sys_, m, n_samples=n, seed=SEED)
     assert fc.base.n_failed == n - (h_ok & q0_ok).sum()
@@ -294,7 +293,7 @@ def test_jets_raise_on_unbound_symbol():
         flow_derivatives(sys_, sys_.h, 3, sample_states(sys_, 4, SEED))
     assert not isinstance(err.value, EvalError)
     with pytest.raises(ExprError, match="unbound symbol") as err:
-        state_observability_rank(sys_, 3, n_samples=4)
+        observability_index(sys_, 3, n_samples=4)
     assert not isinstance(err.value, EvalError)
 
 

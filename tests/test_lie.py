@@ -5,7 +5,6 @@ import hashlib
 import numpy as np
 import pytest
 
-import funcobs.lie
 from funcobs.expr import evaluate, parse, to_text
 from funcobs.lie import (
     LieError,
@@ -13,10 +12,8 @@ from funcobs.lie import (
     lie_series_predict,
     lie_table,
     measured_derivatives,
-    observability_jacobian,
     target_derivatives,
 )
-from funcobs.observability import _gradient_stacks, sample_states
 from funcobs.sim import integrate_plant
 from funcobs.system import builtin_batch_reactor, builtin_cstr
 
@@ -89,34 +86,6 @@ def test_order5_lie_tables_text_is_pinned():
         rows += [to_text(e) for e in measured_derivatives(sys_, 4).values()]
         rows += [to_text(e) for e in target_derivatives(sys_, 4)]
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == LIE_TABLES_SHA256
-
-
-def test_jacobian_rows_batch():
-    sys_ = builtin_batch_reactor()
-    x = np.array([1.0, 0.2, 0.1])
-    J = observability_jacobian(sys_, 2, x)
-    assert J.shape == (2, 3)
-    assert np.allclose(J[0], [0.0, 1.0, 0.0], atol=1e-15)
-    assert np.allclose(J[1], [1.0, -2 * 0.5 * 0.2, 0.0], atol=1e-14)
-
-
-def test_jacobian_builds_no_symbolic_table(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the Jacobian must not build a symbolic derivative table")
-
-    monkeypatch.setattr(funcobs.lie, "lie_table", forbidden)
-    monkeypatch.setattr(funcobs.lie, "lie_derivative", forbidden)
-    sys_ = builtin_cstr()
-    J, _, n_failed = _gradient_stacks(sys_, 6, 5, 42)
-    assert n_failed == 0
-    x = sample_states(sys_, 5, 42)[0]
-    assert np.array_equal(observability_jacobian(sys_, 6, x), J[0])
-
-
-def test_jacobian_warns_outside_box():
-    sys_ = builtin_batch_reactor()
-    with pytest.warns(UserWarning):
-        observability_jacobian(sys_, 2, np.array([10.0, 0.2, 0.0]))
 
 
 def test_output_derivatives_match_trajectory_differences():

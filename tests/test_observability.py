@@ -14,14 +14,11 @@ from funcobs.observability import (
     PsiRepresentation,
     functional_index_candidate,
     functional_rank_check,
-    lift_psi,
     load_psi,
     numeric_rank,
     numeric_ranks,
     observability_index,
     sample_states,
-    save_psi,
-    state_observability_rank,
     verify_psi,
 )
 from funcobs.cli import builtin_double_integrator, data_path
@@ -33,6 +30,7 @@ from funcobs.system import (
     linear_to_system,
     system_from_dict,
     with_target,
+    write_json,
 )
 
 
@@ -118,8 +116,8 @@ def test_cstr_state_observable():
 
 def test_rank_report_is_deterministic():
     sys_ = builtin_batch_reactor()
-    r1 = state_observability_rank(sys_, 3, n_samples=50, seed=11)
-    r2 = state_observability_rank(sys_, 3, n_samples=50, seed=11)
+    r1 = observability_index(sys_, 3, n_samples=50, seed=11)[1][-1]
+    r2 = observability_index(sys_, 3, n_samples=50, seed=11)[1][-1]
     assert r1.ranks == r2.ranks
 
 
@@ -157,7 +155,7 @@ def test_functional_index_candidate_none_when_unreachable():
     sys_ = with_target(builtin_batch_reactor(), parse("cC"))
     scan = functional_index_candidate(sys_, 3)
     assert scan.candidate is None
-    assert all(not c.holds for c in scan.checks_for(1) if c.k == 0)
+    assert all(not c.holds for c in scan.checks if c.v == 1 and c.k == 0)
 
 
 def test_double_integrator_candidate():
@@ -169,8 +167,9 @@ def test_rank_tests_build_no_symbolic_table(monkeypatch):
         raise AssertionError("rank tests must not build a symbolic derivative table")
 
     monkeypatch.setattr(funcobs.lie, "lie_table", forbidden)
+    monkeypatch.setattr(funcobs.lie, "lie_derivative", forbidden)
     sys_ = builtin_cstr()
-    assert state_observability_rank(sys_, 3, n_samples=20).max_rank == 3
+    assert observability_index(sys_, 3, n_samples=20)[1][-1].max_rank == 3
     assert observability_index(sys_, 6, n_samples=20)[0] == 2
     assert functional_rank_check(sys_, 6, n_samples=20).holds
     assert functional_index_candidate(sys_, 3, n_samples=20).candidate == 1
@@ -208,7 +207,7 @@ def test_psi_requires_v_plus_one_entries():
 def test_psi_file_roundtrip(tmp_path):
     rep = load_psi(data_path("psi_batch.json"))
     out = tmp_path / "psi.json"
-    save_psi(rep, out)
+    write_json(out, {"v": rep.v, "psi": [to_text(e) for e in rep.psi]})
     back = load_psi(out)
     assert back.v == rep.v
     assert [to_text(e) for e in back.psi] == [to_text(e) for e in rep.psi]
@@ -265,36 +264,6 @@ def test_verify_psi_rejects_missing_output_channel():
     rep = PsiRepresentation(v=1, psi=(parse("w0_2"), parse("w1_2")))
     with pytest.raises(ObservabilityError):
         verify_psi(sys_, rep)
-
-
-# ---------------------------------------------------------------------------
-# formal lift
-
-def test_lift_advances_derivative_orders():
-    res = lift_psi(parse("(1/k1)*(w1_1 + k2*w0_1^2)"), p=1, v_cap=1)
-    assert res.exceeds_order
-    assert res.max_order == 2
-    # d/dt (w1_1 + k2 w0_1^2)/k1 = (w2_1 + 2 k2 w0_1 w1_1)/k1
-    got = to_text(res.candidate)
-    assert "w2_1" in got and "w0_1" in got
-
-
-def test_lift_within_cap_not_flagged():
-    res = lift_psi(parse("w0_1^2"), p=1, v_cap=2)
-    assert not res.exceeds_order
-    assert res.max_order == 1
-    assert to_text(res.candidate) in ("2*w0_1*w1_1", "2*w1_1*w0_1")
-
-
-def test_lift_of_constant_is_zero():
-    res = lift_psi(parse("3"), p=1, v_cap=1)
-    assert res.max_order == 0
-    assert to_text(res.candidate) == "0"
-
-
-def test_lift_checks_output_count():
-    with pytest.raises(ObservabilityError):
-        lift_psi(parse("w0_3"), p=2, v_cap=1)
 
 
 # ---------------------------------------------------------------------------

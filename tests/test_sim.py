@@ -18,7 +18,6 @@ from funcobs.sim import (
     chain_init_exact,
     error_decay_fit,
     exact_error_grid,
-    exact_error_solution,
     integrate_plant,
     simulate_coupled,
     simulate_custom_observer,
@@ -240,13 +239,13 @@ def test_linear_routes_agree():
 
 def test_exact_error_first_order():
     al = make_alphas([2.0])
-    assert exact_error_solution(al, [0.5], 1.0) == pytest.approx(0.5 * math.exp(-2.0))
+    assert exact_error_grid(al, [0.5], [1.0]) == pytest.approx([0.5 * math.exp(-2.0)])
 
 
 def test_exact_error_critically_damped():
     # (s+1)^2: e(t) = (e0 + (edot0 + e0) t) exp(-t)
     al = poles_to_alphas([-1.0, -1.0])
-    assert exact_error_solution(al, [1.0, 0.0], 1.0) == pytest.approx(2.0 / math.e)
+    assert exact_error_grid(al, [1.0, 0.0], [1.0]) == pytest.approx([2.0 / math.e])
     t = np.linspace(0.0, 3.0, 61)
     grid = exact_error_grid(al, [1.0, 0.0], t)
     assert grid == pytest.approx((1.0 + t) * np.exp(-t), abs=1e-12)
@@ -274,9 +273,20 @@ def test_exact_error_grid_offset_start():
     assert grid == pytest.approx(2.0 * np.exp(-t), rel=1e-12)
 
 
+def test_exact_error_one_point_grid_at_zero_is_the_initial_error():
+    for al, e_init in ((make_alphas([2.0]), [0.3]), (poles_to_alphas([-1.0, -1.0]), [0.1, 7.0])):
+        assert exact_error_grid(al, e_init, [0.0])[0] == e_init[0]
+
+
 def test_exact_error_shape_check():
     with pytest.raises(SimError):
-        exact_error_solution(make_alphas([1.0, 2.0]), [1.0], 0.5)
+        exact_error_grid(make_alphas([1.0, 2.0]), [1.0], [0.5])
+
+
+@pytest.mark.parametrize("coeffs, e_init", [([1.0], [1.0, 5.0]), ([1.0, 2.0], [1.0])])
+def test_exact_error_grid_checks_initial_error_length(coeffs, e_init):
+    with pytest.raises(SimError, match=f"e_init must have v={len(coeffs)} entries"):
+        exact_error_grid(make_alphas(coeffs), e_init, np.linspace(0.0, 1.0, 11))
 
 
 # ---------------------------------------------------------------------------

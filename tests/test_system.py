@@ -226,3 +226,14 @@ def test_linear_to_system_dynamics_match():
     fx = np.array([evaluate(e, b) for e in sys_.f])
     assert np.allclose(fx, lsys.F @ x, rtol=0, atol=1e-15)
     assert evaluate(sys_.q, b) == pytest.approx(x[1])
+
+
+def test_linear_to_system_writes_minus_one_as_a_negated_state():
+    lsys = LinearSystemDef(
+        F=np.array([[0.0, 1.0], [-1.0, 0.0]]),
+        H=np.array([[1.0, 0.0]]),
+        q=np.array([[0.0, -1.0]]),
+    )
+    sys_ = linear_to_system(lsys)
+    assert [to_text(e) for e in sys_.f] == ["x2", "-x1"]
+    assert to_text(sys_.q) == "-x2"
