@@ -2,9 +2,11 @@
 """Print the sha256 of every artifact of a fixed set of CLI runs.
 
 Runs `demo batch|cstr|linear --seed 42`, a batch-reactor `simulate` to
-T=20 (observer from `synthesize --psi psi_batch.json --poles=-1.0 --seed 7`)
-and a realized-linear `simulate` (observer from `synthesize --linear
-lin_double_integrator.json --poles=-2.0 --seed 7`), each in process, inside
+T=20 (observer from `synthesize --psi psi_batch.json --poles=-1.0 --seed 7`),
+a realized-linear `simulate` (observer from `synthesize --linear
+lin_double_integrator.json --poles=-2.0 --seed 7`) and `analyze --builtin
+cstr|batch-reactor --samples 1000` at high derivative orders (`--m-max 12
+--v-max 8`, `--m-max 20`, `--m-max 30`), each in process, inside
 a temporary directory with relative paths, so the artifacts do not depend
 on where they are written.  Compare two checkouts by running this script
 against each:
@@ -40,6 +42,9 @@ def runs(t_final: float | None) -> list[tuple[str, list[str]]]:
         ("obs-linear", [*synth, "--linear", LIN, "--poles=-2.0"]),
         ("sim-linear", [*sim, "--linear", LIN, "--observer", "obs-linear/observer.json",
                         "--x0=0.3,-0.2", *horizon]),
+        *((f"analyze-{nm}-m{m}", ["analyze", "--builtin", nm, "--samples", "1000", "--m-max", m, *v])
+          for nm in ("cstr", "batch-reactor")
+          for m, v in (("12", ["--v-max", "8"]), ("20", []), ("30", []))),
     ]
 
 

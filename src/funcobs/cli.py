@@ -29,10 +29,8 @@ from .lie import LieError
 from .observability import (
     ObservabilityError,
     _check_psi_against_system,
-    functional_index_candidate,
-    functional_rank_check,
+    analysis,
     load_psi,
-    observability_index,
     verify_psi,
 )
 from .sim import (
@@ -202,11 +200,7 @@ def _outdir(cfg: RunConfig, default: str | None = None) -> str | None:
 
 
 def _analysis_payload(cfg: RunConfig, sys_: SystemDef, label: str) -> dict:
-    index, reports = observability_index(
-        sys_, cfg.m_max, n_samples=cfg.samples, seed=cfg.seed
-    )
-    fcheck = functional_rank_check(sys_, cfg.m_max, n_samples=cfg.samples, seed=cfg.seed)
-    scan = functional_index_candidate(sys_, cfg.v_max, n_samples=cfg.samples, seed=cfg.seed)
+    (index, reports), fcheck, scan = analysis(sys_, cfg.m_max, cfg.v_max, cfg.samples, cfg.seed)
     return {
         "report": "analysis",
         "defaults": dict(DEFAULTS),
@@ -394,12 +388,10 @@ def _init_chain(exact: np.ndarray, init: tuple) -> np.ndarray:
         chain = exact.copy()
         chain[0] += val
         return chain
-    if mode == "explicit":
-        arr = np.asarray(val, dtype=float)
-        if arr.shape != exact.shape:
-            raise CliInputError(f"explicit init needs v={exact.size} values, got {arr.size}")
-        return arr
-    raise CliInputError(f"unknown init mode '{mode}'")
+    arr = np.asarray(val, dtype=float)  # explicit
+    if arr.shape != exact.shape:
+        raise CliInputError(f"explicit init needs v={exact.size} values, got {arr.size}")
+    return arr
 
 
 def _invariance_drift(sys_: SystemDef, obs: ObserverIO, trace: SimTrace) -> float | None:
@@ -695,10 +687,10 @@ def main(argv=None) -> int:
                 given[nm] = convert(given[nm])
         return _COMMANDS[ns.command](RunConfig(**given))
     except UnstablePolesError as exc:
-        print(f"error: {exc}")
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
     except (CliInputError, *_INPUT_ERRORS) as exc:
-        print(f"error: {exc}")
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -1,12 +1,12 @@
 """Randomized local observability tests and functional representations.
 
-The rank tests sample the system box with a seeded generator and evaluate
-the gradient stacks at every sample in one pass of Taylor-mode jets
-(`funcobs.jets`); samples where an entry is not finite are skipped and
-counted.  Rank is counted against a relative singular-value cutoff with an
-absolute floor, and mixed per-sample verdicts are reported rather than
-averaged away: a condition "holds" only when it holds at every sample that
-evaluated successfully.
+The rank tests sample the system box with a seeded generator and read the
+gradients of h and q at every sample from one pass of Taylor-mode jets
+(`funcobs.jets`), which `analysis` shares; a sample where a row a test
+reads is not finite is skipped and counted.  Rank is counted against a
+relative singular-value cutoff with an absolute floor, and mixed
+per-sample verdicts are reported rather than averaged away: a condition
+"holds" only when it holds at every sample that evaluated successfully.
 """
 
 from __future__ import annotations
@@ -87,46 +87,36 @@ def _rank_report(m: int, ranks: list[int], n_failed: int, full: int) -> RankRepo
     )
 
 
-def _gradient_stacks(
-    sys: SystemDef, m: int, n_samples: int, seed: int, v: int | None = None
-) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """Gradient stacks at the sampled states that evaluate.
-
-    Returns the output-derivative gradients of orders 0..m-1, shape
-    (N, m*p, n) with rows in `measured_derivatives` order; the target-derivative
-    gradients of orders 0..v, shape (N, v+1, n), or None when v is None; and
-    the number of samples skipped because some entry failed to evaluate.
-    """
-    if m < 1:
-        raise ObservabilityError("derivative order m must be >= 1")
-    order = m if v is None else max(m, v + 1)
+def _jets(sys: SystemDef, order: int, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sampled states and the `flow_derivatives` of h and q to `order` at each."""
     if order > MAX_ORDER:
         raise ObservabilityError(
             f"derivative order {order} exceeds {MAX_ORDER}: {order - 1}! is not a finite double"
         )
     pts = sample_states(sys, n_samples, seed)
-    exprs = sys.h if v is None else sys.h + (sys.q,)
-    d = flow_derivatives(sys, exprs, order, pts)
+    return pts, flow_derivatives(sys, sys.h + (sys.q,), order, pts)
+
+
+def _gradient_stacks(sys: SystemDef, jets, m: int, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Output-derivative gradients of orders 0..m-1, shape (N, m*p, n), rows in
+    `measured_derivatives` order, and target-derivative gradients of orders 0..k-1,
+    shape (N, k, n), at the samples where all those rows are finite; and the count skipped."""
+    pts, d = jets
     J = d[:, :m, : sys.p, 1:].reshape(len(pts), m * sys.p, sys.n)
-    ok = np.isfinite(J).all(axis=(1, 2))
-    G = None
-    if v is not None:
-        G = d[:, : v + 1, sys.p, 1:]
-        ok &= np.isfinite(G).all(axis=(1, 2))
-        G = G[ok]
+    G = d[:, :k, sys.p, 1:]
+    ok = np.isfinite(J).all(axis=(1, 2)) & np.isfinite(G).all(axis=(1, 2))
     if not ok.any():
         checked = np.zeros(d.shape[1:3], dtype=bool)  # (order, expression) pairs tested
         checked[:m, : sys.p] = True
-        if v is not None:
-            checked[: v + 1, sys.p] = True
-        k, j = np.argwhere(checked & ~np.isfinite(d[0, :, :, 1:]).all(axis=2))[0]
+        checked[:k, sys.p] = True
+        order, j = np.argwhere(checked & ~np.isfinite(d[0, :, :, 1:]).all(axis=2))[0]
         point = ", ".join(f"{nm}={x!r}" for nm, x in zip(sys.state_names, pts[0].tolist()))
         what = f"output h[{j}]" if j < sys.p else "the target q"
         raise ObservabilityError(
             f"all {len(pts)} sample points failed to evaluate; at the first ({point}) "
-            f"the gradient of the order-{k} derivative of {what} is not finite"
+            f"the gradient of the order-{order} derivative of {what} is not finite"
         )
-    return J[ok], G, int(np.count_nonzero(~ok))
+    return J[ok], G[ok], int(np.count_nonzero(~ok))
 
 
 def observability_index(
@@ -139,7 +129,11 @@ def observability_index(
     """
     if m_max < 1:
         raise ObservabilityError("m_max must be >= 1")
-    J, _, failed = _gradient_stacks(sys, m_max, n_samples, seed)
+    return _index(sys, _jets(sys, m_max, n_samples, seed), m_max)
+
+
+def _index(sys: SystemDef, jets, m_max: int) -> tuple[int | None, list[RankReport]]:
+    J, _, failed = _gradient_stacks(sys, jets, m_max, 0)  # only an h row can skip a sample
     reports = [
         _rank_report(m, numeric_ranks(J[:, : sys.p * m]).tolist(), failed, sys.n)
         for m in range(1, m_max + 1)
@@ -167,7 +161,13 @@ def functional_rank_check(
     output derivatives up to order m-1; failure is a refutation, success is
     sampled evidence only.
     """
-    J, G, failed = _gradient_stacks(sys, m, n_samples, seed, v=0)
+    if m < 1:
+        raise ObservabilityError("derivative order m must be >= 1")
+    return _rank_check(sys, _jets(sys, m, n_samples, seed), m)
+
+
+def _rank_check(sys: SystemDef, jets, m: int) -> FunctionalRankCheck:
+    J, G, failed = _gradient_stacks(sys, jets, m, 1)
     rb = numeric_ranks(J)
     ra = numeric_ranks(np.concatenate([G, J], axis=1))
     base_ranks = rb.tolist()
@@ -202,7 +202,6 @@ class SpanCheck:
 @dataclass
 class FunctionalIndexScan:
     candidate: int | None
-    v_max: int
     checks: list[SpanCheck]
     note: str = (
         "candidate order from sampled gradient-span tests; necessary, not sufficient"
@@ -220,7 +219,11 @@ def functional_index_candidate(
     """
     if v_max < 1:
         raise ObservabilityError("v_max must be >= 1")
-    J, G, _ = _gradient_stacks(sys, v_max + 1, n_samples, seed, v=v_max)
+    return _candidate(sys, _jets(sys, v_max + 1, n_samples, seed), v_max)
+
+
+def _candidate(sys: SystemDef, jets, v_max: int) -> FunctionalIndexScan:
+    J, G, _ = _gradient_stacks(sys, jets, v_max + 1, v_max + 1)
     n_checked = len(J)
 
     checks: list[SpanCheck] = []
@@ -237,7 +240,20 @@ def functional_index_candidate(
             all_hold = all_hold and holds
         if all_hold and candidate is None:
             candidate = v
-    return FunctionalIndexScan(candidate=candidate, v_max=v_max, checks=checks)
+    return FunctionalIndexScan(candidate=candidate, checks=checks)
+
+
+def analysis(sys: SystemDef, m_max: int, v_max: int, n_samples: int = 100, seed: int = 42) -> tuple:
+    """`observability_index` and `functional_rank_check` at m_max and
+    `functional_index_candidate` at v_max, each as its own call returns it, from
+    one pass of jets: order k of a jet reads only lower orders and earlier entries."""
+    if m_max < 1:
+        raise ObservabilityError("m_max must be >= 1")
+    if v_max < 1:
+        raise ObservabilityError("v_max must be >= 1")
+    # m_max past MAX_ORDER is refused first, as observability_index refuses it
+    jets = _jets(sys, m_max if m_max > MAX_ORDER else max(m_max, v_max + 1), n_samples, seed)
+    return _index(sys, jets, m_max), _rank_check(sys, jets, m_max), _candidate(sys, jets, v_max)
 
 
 # ---------------------------------------------------------------------------

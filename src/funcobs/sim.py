@@ -20,7 +20,7 @@ import itertools
 import math
 import operator
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,11 +45,7 @@ class SimTrace:
     z: np.ndarray
     zhat: np.ndarray
     err: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def event(self):
-        return self.meta.get("event")
+    event: str | None = None
 
 
 def _steps(t_final: float, dt: float) -> int:
@@ -144,13 +140,8 @@ def _rollout(sys: SystemDef, x0, obs0, stage, t_final: float, dt: float, zhat=No
     table, event = _rk4_kernel(stage, record, s0, dt, n_steps, p + 1 if zhat else None)
     z = table[:, m + p]
     zh = table[:, m + p + 1] if zhat else np.full(table.shape[0], np.nan)
-    return _trace(dt, t_final, event, table[:, : sys.n], table[:, m : m + p], z, zh, zh - z)
-
-
-def _trace(dt, t_final, event, x, y, z, zhat, err) -> SimTrace:
-    n_rec = x.shape[0]
-    meta = {"integrator": "rk4", "dt": dt, "t_final": t_final, "event": event, "n_recorded": n_rec}
-    return SimTrace(t=np.arange(n_rec) * dt, x=x, y=y, z=z, zhat=zhat, err=err, meta=meta)
+    t = np.arange(table.shape[0]) * dt
+    return SimTrace(t, table[:, : sys.n], table[:, m : m + p], z, zh, zh - z, event)
 
 
 def integrate_plant(sys: SystemDef, x0, t_final: float, dt: float = 1e-3) -> SimTrace:
@@ -287,7 +278,8 @@ def simulate_linear_observer(
             break
     states = states[: last + 1]
     z, zh = states[:, :n] @ lsys.q[0], states @ zh_row
-    return _trace(dt, t_final, event, states[:, :n], states[:, :n] @ lsys.H.T, z, zh, zh - z)
+    t = np.arange(states.shape[0]) * dt
+    return SimTrace(t, states[:, :n], states[:, :n] @ lsys.H.T, z, zh, zh - z, event)
 
 
 # ---------------------------------------------------------------------------

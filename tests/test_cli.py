@@ -139,9 +139,29 @@ def test_analyze_orders_past_int64_factorials(tmp_path, capsys):
     assert rc == 0
     assert len(_read(tmp_path / "analysis.json")["rank_table"]) == 22
     capsys.readouterr()
-    rc = main(["analyze", "--builtin", "batch-reactor", "--m-max", "172", "--out", str(tmp_path / "x")])
-    assert rc == 2
-    assert "171! is not a finite double" in capsys.readouterr().out
+    for orders in (["--m-max", "172"], ["--m-max", "172", "--v-max", "200"]):
+        rc = main(["analyze", "--builtin", "batch-reactor", *orders, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "derivative order 172 exceeds 171: 171! is not a finite double" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["analyze", "--builtin", "cstr"], ["demo", "batch", "--t-final", "1"], ["demo", "cstr", "--t-final", "1"]],
+    ids=["analyze", "demo-batch", "demo-cstr"],
+)
+def test_one_jets_pass_per_run(tmp_path, monkeypatch, args):
+    # the three rank tests read one table, built at order max(m_max, v_max + 1)
+    orders = []
+    jets = funcobs.observability.flow_derivatives
+
+    def counted(sys_, exprs, order, pts):
+        orders.append(order)
+        return jets(sys_, exprs, order, pts)
+
+    monkeypatch.setattr(funcobs.observability, "flow_derivatives", counted)
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    assert orders == [6]
 
 
 def test_analyze_system_file_deterministic(tmp_path):
@@ -198,21 +218,21 @@ def test_analyze_with_psi(tmp_path, capsys, load_schema):
 
 def test_analyze_missing_file_exit_2(capsys):
     assert main(["analyze", "no_such_file.json"]) == 2
-    assert "error:" in capsys.readouterr().out
+    assert "error:" in capsys.readouterr().err
 
 
 def test_analyze_file_not_utf8_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(b"\xff\xfe{}")
     assert main(["analyze", str(path)]) == 2
-    assert f"error: {path}: invalid JSON ('utf-8' codec can't decode" in capsys.readouterr().out
+    assert f"error: {path}: invalid JSON ('utf-8' codec can't decode" in capsys.readouterr().err
 
 
 def test_psi_nested_too_deeply_exit_2(tmp_path, capsys):
     path = tmp_path / "psi.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
     assert main(["analyze", "--builtin", "batch-reactor", "--psi", str(path)]) == 2
-    assert f"error: {path}: invalid JSON (maximum recursion depth" in capsys.readouterr().out
+    assert f"error: {path}: invalid JSON (maximum recursion depth" in capsys.readouterr().err
 
 
 def test_analyze_requires_some_system(capsys):
@@ -227,7 +247,7 @@ def test_psi_constant_past_double_range_exit_2(tmp_path, capsys):
     psi = tmp_path / "psi.json"
     psi.write_text(json.dumps({"v": 1, "psi": ["10^400*0.5*w0_1", "w1_1"]}))
     assert main(["analyze", "--builtin", "batch-reactor", "--psi", str(psi)]) == 2
-    assert "error: a constant in" in capsys.readouterr().out
+    assert "error: a constant in" in capsys.readouterr().err
 
 
 def test_non_string_expression_in_a_file_exit_2(tmp_path, capsys):
@@ -241,14 +261,14 @@ def test_non_string_expression_in_a_file_exit_2(tmp_path, capsys):
         (["--builtin", "batch-reactor", "--psi", str(psi_path)], "'psi[1]' must be a string, got 3"),
     ):
         assert main(["analyze", *args]) == 2
-        assert message in capsys.readouterr().out
+        assert message in capsys.readouterr().err
 
 
 def test_negative_seed_exit_2(capsys):
     with pytest.raises(CliInputError, match="--seed must be >= 0"):
         RunConfig(command="analyze", seed=-1)
     assert main(["analyze", "--builtin", "batch-reactor", "--seed", "-1"]) == 2
-    assert "error: --seed must be >= 0" in capsys.readouterr().out
+    assert "error: --seed must be >= 0" in capsys.readouterr().err
 
 
 def test_box_wider_than_the_double_range_exit_2(tmp_path, capsys):
@@ -257,7 +277,7 @@ def test_box_wider_than_the_double_range_exit_2(tmp_path, capsys):
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(raw))
     assert main(["analyze", str(path)]) == 2
-    assert "error: box interval for 'cA' is wider than the double range" in capsys.readouterr().out
+    assert "error: box interval for 'cA' is wider than the double range" in capsys.readouterr().err
 
 
 def test_states_given_as_a_string_exit_2(tmp_path, capsys):
@@ -265,7 +285,7 @@ def test_states_given_as_a_string_exit_2(tmp_path, capsys):
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(raw))
     assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "error: system definition: 'states' must be a list, got 'xy'" in capsys.readouterr().out
+    assert "error: system definition: 'states' must be a list, got 'xy'" in capsys.readouterr().err
     assert not (tmp_path / "out" / "analysis.json").exists()
 
 
@@ -288,18 +308,24 @@ def test_system_file_check_exit_2(tmp_path, capsys, edit, message):
     save_system(builtin_batch_reactor(), path)
     path.write_text(json.dumps(edit(_read(path))))
     assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().out == f"error: {message}\n"
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_all_samples_failing_exit_2(tmp_path, capsys):
     raw = builtin_batch_reactor().to_dict()
-    raw["f"][0] = "-10^400*k1*cA/10^400"
     path = tmp_path / "sys.json"
-    path.write_text(json.dumps(raw))
-    assert main(["analyze", str(path), "--out", str(tmp_path)]) == 2
-    out = capsys.readouterr().out
-    assert "error: all 100 sample points failed to evaluate; at the first (cA=" in out
-    assert "the gradient of the order-2 derivative of output h[0] is not finite" in out
+    # 10^400 is inf as a double: inf/inf is nan wherever it enters
+    for edit, what in (
+        ({"f": ["-10^400*k1*cA/10^400", *raw["f"][1:]]}, "order-2 derivative of output h[0]"),
+        ({"q": "10^400*cA/10^400"}, "order-0 derivative of the target q"),  # h never fails
+    ):
+        path.write_text(json.dumps({**raw, **edit}))
+        assert main(["analyze", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: all 100 sample points failed to evaluate; at the first (cA=" in err
+        assert f"the gradient of the {what} is not finite" in err
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +371,7 @@ def test_synthesize_unstable_exit_3(tmp_path, capsys):
         ]
     )
     assert rc == 3
-    assert "left half plane" in capsys.readouterr().out
+    assert "left half plane" in capsys.readouterr().err
 
 
 def test_synthesize_wrong_psi_exit_2(tmp_path, capsys):
@@ -575,7 +601,7 @@ def test_simulate_empty_init_exit_2(tmp_path, capsys):
          "--init=", "--out", str(out)]
     )
     assert rc == 2
-    assert "error: --init must be" in capsys.readouterr().out
+    assert "error: --init must be" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -597,7 +623,7 @@ def test_simulate_realized_observer_off_its_realization_exit_2(tmp_path, capsys)
     out = tmp_path / "run"
     rc = main(["simulate", *LIN_X0, "--observer", str(path), "--t-final", "1", "--out", str(out)])
     assert rc == 2
-    assert f"{path}: 'A' is [[5.0]], but the realization" in capsys.readouterr().out
+    assert f"{path}: 'A' is [[5.0]], but the realization" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -609,7 +635,7 @@ def test_simulate_realized_observer_for_another_output_count_exit_2(tmp_path, ca
     rc = main(["simulate", "--linear", str(two_outputs), "--observer", str(path), "--x0=0,1",
                "--out", str(tmp_path / "run")])
     assert rc == 2
-    assert "the observer takes 1 measurement(s) but the system has 2 output(s)" in capsys.readouterr().out
+    assert "the observer takes 1 measurement(s) but the system has 2 output(s)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -626,7 +652,7 @@ def test_simulate_incomplete_observer_file_exit_2(tmp_path, capsys, observer, pl
     path.write_text(json.dumps(observer))
     rc = main(["simulate", *plant, "--observer", str(path), "--out", str(tmp_path / "run")])
     assert rc == 2
-    assert f"lacks {missing}" in capsys.readouterr().out
+    assert f"lacks {missing}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -650,7 +676,7 @@ def test_simulate_observer_order_mismatch_exit_2(tmp_path, capsys, observer, pla
          "--out", str(tmp_path / "run")]
     )
     assert rc == 2
-    assert "does not match" in capsys.readouterr().out
+    assert "does not match" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -667,7 +693,7 @@ def test_malformed_psi_file_exit_2(tmp_path, capsys, raw, message):
     path = tmp_path / "psi.json"
     path.write_text(json.dumps(raw))
     assert main(["analyze", "--builtin", "batch-reactor", "--psi", str(path)]) == 2
-    assert message in capsys.readouterr().out
+    assert message in capsys.readouterr().err
 
 
 # a hand-written order-1 observer for the batch reactor
@@ -686,25 +712,25 @@ def _simulate_batch(tmp_path, *args, observer=OBSERVER_V1):
 def test_simulate_fractional_observer_order_exit_2(tmp_path, capsys):
     rc = _simulate_batch(tmp_path, "--x0=1,0.2,0.1", observer={**OBSERVER_V1, "v": 1.5})
     assert rc == 2
-    assert "observer.json: 'v' must be an integer, got 1.5" in capsys.readouterr().out
+    assert "observer.json: 'v' must be an integer, got 1.5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--dt=nan", "--dt=inf", "--t-final=nan", "--t-final=inf"])
 def test_simulate_non_finite_step_size_exit_2(tmp_path, capsys, flag):
     assert _simulate_batch(tmp_path, "--x0=1,0.2,0.1", flag) == 2
     name = flag.split("=")[0]
-    assert f"{name} must be positive and finite" in capsys.readouterr().out
+    assert f"{name} must be positive and finite" in capsys.readouterr().err
 
 
 def test_simulate_step_count_past_the_double_range_exit_2(tmp_path, capsys):
     # 10 / 1e-320 overflows to an infinite step count
     assert _simulate_batch(tmp_path, "--x0=1,0.2,0.1", "--dt", "1e-320") == 2
-    assert "is not a finite count" in capsys.readouterr().out
+    assert "is not a finite count" in capsys.readouterr().err
 
 
 def test_simulate_step_count_past_the_limit_exit_2(tmp_path, capsys):
     assert _simulate_batch(tmp_path, "--x0=1,0.2,0.1", "--dt", "1e-300") == 2
-    assert "more than the limit of 10000000" in capsys.readouterr().out
+    assert "more than the limit of 10000000" in capsys.readouterr().err
     assert not (tmp_path / "run" / "trace.csv").exists()
 
 
@@ -717,15 +743,15 @@ def test_simulate_step_count_past_the_limit_exit_2(tmp_path, capsys):
 def test_demo_bad_step_count_exit_2_before_any_stage(tmp_path, capsys, args, message):
     out = tmp_path / "demo"
     assert main(["demo", *args, "--out", str(out)]) == 2
-    printed = capsys.readouterr().out
-    assert message in printed
-    assert "T = " not in printed
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "T = " not in captured.out
     assert not out.exists()
 
 
 def test_simulate_non_finite_x0_exit_2(tmp_path, capsys):
     assert _simulate_batch(tmp_path, "--x0=0.8,0.3,nan") == 2
-    assert "--x0 values must be finite" in capsys.readouterr().out
+    assert "--x0 values must be finite" in capsys.readouterr().err
     assert not (tmp_path / "run" / "trace.csv").exists()
 
 
@@ -734,7 +760,7 @@ def test_simulate_non_finite_init_exit_2(tmp_path, capsys, init):
     with pytest.raises(CliInputError, match="--init values must be finite"):
         parse_init(init)
     assert _simulate_batch(tmp_path, "--x0=1,0.2,0.1", f"--init={init}") == 2
-    assert f"--init values must be finite, got '{init}'" in capsys.readouterr().out
+    assert f"--init values must be finite, got '{init}'" in capsys.readouterr().err
     assert not (tmp_path / "run" / "trace.csv").exists()
 
 
@@ -749,7 +775,7 @@ REALIZED_V1 = {"v": 1, "alphas": [3.0], "betas": [[9.0], [3.0]], "A": [[-3.0]],
 @pytest.mark.parametrize("pole", ["nan", "-1e400", "-1+1e400i"])
 def test_synthesize_non_finite_pole_exit_2(tmp_path, capsys, route, pole):
     assert main(["synthesize", *route, f"--poles={pole}", "--out", str(tmp_path)]) == 2
-    assert f"error: pole '{pole}' is not finite" in capsys.readouterr().out
+    assert f"error: pole '{pole}' is not finite" in capsys.readouterr().err
     assert not (tmp_path / "observer.json").exists()
 
 
@@ -765,7 +791,7 @@ def test_synthesize_non_finite_pole_exit_2(tmp_path, capsys, route, pole):
 )
 def test_simulate_T_reading_what_the_chain_cannot_supply_exit_2(tmp_path, capsys, T, message):
     assert _simulate_batch(tmp_path, "--x0=1,0.2,0.1", observer={**OBSERVER_V1, "T": T}) == 2
-    assert f"error: {message.format(path=tmp_path / 'observer.json')}" in capsys.readouterr().out
+    assert f"error: {message.format(path=tmp_path / 'observer.json')}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -813,7 +839,7 @@ def test_cli_refusal_exit_2(tmp_path, capsys, args, message):
     out = tmp_path / "run"
     argv = args.format(**_refusal_files(tmp_path)).split()
     assert main([*argv, "--out", str(out)]) == 2
-    assert f"error: {message}" in capsys.readouterr().out
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -870,7 +896,7 @@ def test_input_file_of_the_wrong_shape_exit_2(tmp_path, capsys, args, doc, messa
     path.write_text(json.dumps(doc))
     out = tmp_path / "run"
     assert main([*args, str(path), "--out", str(out)]) == 2
-    assert f"error: {message.format(path=path)}\n" in capsys.readouterr().out
+    assert f"error: {message.format(path=path)}\n" in capsys.readouterr().err
     assert not out.exists() or not os.listdir(out)
 
 

@@ -12,6 +12,7 @@ from funcobs.jets import flow_derivatives
 from funcobs.observability import (
     ObservabilityError,
     PsiRepresentation,
+    analysis,
     functional_index_candidate,
     functional_rank_check,
     load_psi,
@@ -67,7 +68,7 @@ def test_numeric_ranks_degenerate_stacks():
         numeric_ranks(np.eye(3))
 
 
-@pytest.mark.parametrize(
+FOUR_SYSTEMS = pytest.mark.parametrize(
     "sys_",
     [
         builtin_batch_reactor(),
@@ -77,6 +78,9 @@ def test_numeric_ranks_degenerate_stacks():
     ],
     ids=["batch-reactor", "cstr", "double-integrator", "batch-target-cC"],
 )
+
+
+@FOUR_SYSTEMS
 def test_batched_ranks_equal_per_sample_ranks(sys_):
     # the stacks the rank tests build at the CLI defaults (m_max 6, v_max 3)
     m, p, n = 6, sys_.p, sys_.n
@@ -173,6 +177,7 @@ def test_rank_tests_build_no_symbolic_table(monkeypatch):
     assert observability_index(sys_, 6, n_samples=20)[0] == 2
     assert functional_rank_check(sys_, 6, n_samples=20).holds
     assert functional_index_candidate(sys_, 3, n_samples=20).candidate == 1
+    assert analysis(sys_, 6, 3, n_samples=20)[2].candidate == 1
 
 
 def test_all_samples_failing_names_the_first_point_and_order():
@@ -189,6 +194,31 @@ def test_all_samples_failing_names_the_first_point_and_order():
     )
     with pytest.raises(ObservabilityError, match="order-1 derivative of the target q is not finite"):
         functional_index_candidate(sys_, 3)
+
+
+# ---------------------------------------------------------------------------
+# one pass of jets for all three rank tests
+
+@FOUR_SYSTEMS
+@pytest.mark.parametrize("m_max, n_samples, v_max", [(6, 100, 3), (12, 1000, 8), (3, 50, 6)])
+def test_analysis_equals_the_three_rank_tests(sys_, m_max, n_samples, v_max):
+    want = (
+        observability_index(sys_, m_max, n_samples),
+        functional_rank_check(sys_, m_max, n_samples),
+        functional_index_candidate(sys_, v_max, n_samples),
+    )
+    assert analysis(sys_, m_max, v_max, n_samples) == want
+
+
+def test_analysis_skips_a_sample_for_the_index_only_when_an_output_fails():
+    # the gradient ln(cA - 1) + cA/(cA - 1) of this target is not finite where
+    # cA <= 1, about half the box; the output cB never fails
+    sys_ = with_target(builtin_batch_reactor(), parse("cA*ln(cA - 1)"))
+    (_, reports), fcheck, scan = analysis(sys_, 6, 3)
+    assert [r.n_failed for r in reports] == [0] * 6
+    assert 0 < fcheck.base.n_failed < 100
+    assert scan.checks[0].n_checked == 100 - fcheck.base.n_failed
+    assert (reports, fcheck) == (observability_index(sys_, 6)[1], functional_rank_check(sys_, 6))
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,7 @@ def test_plant_matches_exponential_decay():
     sys_ = builtin_batch_reactor()
     tr = integrate_plant(sys_, X0, 2.0, dt=1e-3)
     assert abs(tr.x[-1, 0] - math.exp(-2.0)) <= 1e-12
-    assert tr.meta["integrator"] == "rk4"
-    assert tr.meta["event"] is None
+    assert tr.event is None
     assert np.isnan(tr.zhat).all() and np.isnan(tr.err).all()
     assert tr.z == pytest.approx(tr.x[:, 0])
 
@@ -106,7 +105,7 @@ def test_evaluation_failure_truncates():
         box={"x": (0.1, 1.0)},
     )
     tr = integrate_plant(sys_, np.array([0.5]), 1.0, dt=1e-2)
-    assert tr.meta["event"] == "evaluation-failure"
+    assert tr.event == "evaluation-failure"
     assert tr.t.size < 101
     assert tr.x.shape[0] == tr.y.shape[0] == tr.z.size
 
@@ -124,7 +123,7 @@ def test_division_by_zero_is_evaluation_failure():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         tr = integrate_plant(sys_, np.array([0.25]), 1.0, dt=1e-2)
-    assert tr.meta["event"] == "evaluation-failure"
+    assert tr.event == "evaluation-failure"
     assert tr.t.size == 1
     assert tr.x.tolist() == [[0.25]]
 
@@ -151,7 +150,7 @@ def test_output_failure_at_start_is_evaluation_failure():
         q=parse("x"), box={"x": (0.1, 1.0)},
     )
     tr = integrate_plant(sys_, np.array([-1.0]), 5.0, dt=1e-2)
-    assert tr.meta["event"] == "evaluation-failure"
+    assert tr.event == "evaluation-failure"
     assert tr.t.size == 0 and tr.x.shape == (0, 1) and tr.y.shape == (0, 1)
 
 
@@ -199,7 +198,7 @@ def test_divergence_truncates_with_event():
     obs = synthesize_nonlinear(rep, make_alphas([-3.0]), allow_unstable=True)  # pole +3
     chain0 = chain_init_exact(sys_, X0, 1) + np.array([0.1])
     tr = simulate_coupled(sys_, obs, X0, chain0, 20.0, dt=1e-3)
-    assert tr.meta["event"] == "divergence"
+    assert tr.event == "divergence"
     assert tr.t.size < 20001
     assert abs(tr.zhat[-1]) > 1e12 or not np.isfinite(tr.zhat[-1])
 
@@ -297,7 +296,6 @@ def _trace_from_err(t, err):
     z = np.zeros(n)
     return SimTrace(
         t=t, x=np.zeros((n, 1)), y=np.zeros((n, 1)), z=z, zhat=z + err, err=err,
-        meta={"event": None},
     )
 
 
@@ -472,7 +470,7 @@ def test_float_coupled_rollout_matches_numpy_loop(case, t_final, dt):
     tr = simulate_coupled(sys_, obs, x0, chain0, t_final, dt=dt)
     ref = _numpy_coupled(sys_, obs, x0, chain0, t_final, dt)
     y, z = _numpy_outputs(sys_, ref)
-    assert tr.meta["event"] == ("divergence" if case == "batch-divergent" else None)
+    assert tr.event == ("divergence" if case == "batch-divergent" else None)
     assert _same_bits(tr.x, ref[:, : sys_.n])
     assert _same_bits(tr.zhat, ref[:, sys_.n])
     assert _same_bits(tr.y, y) and _same_bits(tr.z, z)
@@ -763,7 +761,7 @@ def test_kernel_matches_list_rk4_loop(monkeypatch, case):
     (stage, (table, got_event)), = seen
     ref, ref_event = _list_rk4(rhs, out, s0, dt, n_steps, zhat_col)
     ref = np.array(ref).reshape(len(ref), table.shape[1])
-    assert got_event == ref_event == event == tr.meta["event"]
+    assert got_event == ref_event == event == tr.event
     assert table.shape[0] == ref.shape[0] == tr.t.size
     assert 1 < ref.shape[0] <= n_steps + 1
     assert _same_bits(table, ref)
@@ -805,7 +803,7 @@ def test_custom_observer_stops_at_first_estimate_past_limit():
     past = np.abs(rows[:, -1]) > DIVERGENCE_LIMIT
     keep = int(np.argmax(past)) + 1
     tr = run()
-    assert tr.meta["event"] == "divergence"
+    assert tr.event == "divergence"
     assert tr.t.size == keep and 900 < keep < rows.shape[0]
     assert abs(tr.zhat[-1]) > DIVERGENCE_LIMIT and not (np.abs(tr.zhat[:-1]) > DIVERGENCE_LIMIT).any()
     assert _same_bits(tr.zhat, rows[:keep, -1])
@@ -820,7 +818,7 @@ def test_custom_observer_limit_precedes_later_non_finite_state():
     keep = int(np.argmax(np.abs(rows[:, -1]) > DIVERGENCE_LIMIT)) + 1
     assert keep < rows.shape[0]
     tr = run()
-    assert tr.meta["event"] == "divergence"
+    assert tr.event == "divergence"
     assert tr.t.size == keep
     assert _same_bits(tr.zhat, rows[:keep, -1])
 
@@ -828,7 +826,7 @@ def test_custom_observer_limit_precedes_later_non_finite_state():
 def test_chain_start_past_limit_stops_at_row_0():
     sys_, obs = _batch_setup(-2.0)
     tr = simulate_coupled(sys_, obs, X0, np.array([2e12]), 1.0, dt=1e-2)
-    assert tr.meta["event"] == "divergence"
+    assert tr.event == "divergence"
     assert tr.zhat.tolist() == [2e12]
 
 
@@ -886,7 +884,7 @@ def test_linear_observer_matches_stepwise_loop(pole, scale, t_final, event, rows
         tr = simulate_linear_observer(lsys, lobs, x0, xi0, t_final, dt=1e-3)
     with np.errstate(over="ignore", invalid="ignore"):
         states, y, z, zh, ref_event = _stepwise_linear(lsys, lobs, x0, xi0, t_final, 1e-3)
-    assert tr.meta["event"] == ref_event == event
+    assert tr.event == ref_event == event
     assert tr.t.size == states.shape[0] == rows
     assert _same_bits(tr.x, states[:, : lsys.n])
     assert _same_bits(tr.y, y) and _same_bits(tr.z, z) and _same_bits(tr.zhat, zh)
@@ -904,14 +902,14 @@ def test_linear_start_row_is_checked(zhat0, rows):
     tr = simulate_linear_observer(lsys, lobs, x0, xi0, 1.0, dt=1e-2)
     with np.errstate(over="ignore", invalid="ignore"):
         states, _, _, zh, ref_event = _stepwise_linear(lsys, lobs, x0, xi0, 1.0, 1e-2)
-    assert tr.meta["event"] == ref_event == "divergence"
+    assert tr.event == ref_event == "divergence"
     assert tr.t.size == states.shape[0] == rows
     assert _same_bits(tr.zhat, zh)
     if rows:  # the chain route of the same observer stops at the same row
         chain = simulate_coupled(
             linear_to_system(lsys), linear_observer_to_io(lobs), x0, np.array([zhat0]), 1.0, dt=1e-2
         )
-        assert chain.meta["event"] == "divergence"
+        assert chain.event == "divergence"
         assert tr.zhat.tolist() == chain.zhat.tolist() == [zhat0]
 
 
@@ -933,7 +931,7 @@ def test_kernel_start_row_is_checked():
     )
     plant = integrate_plant(builtin_batch_reactor(), [X0[0], math.nan, X0[2]], 1.0, dt=1e-2)
     for tr in (chain, plant):
-        assert tr.meta["event"] == "divergence"
+        assert tr.event == "divergence"
         assert tr.t.size == tr.x.shape[0] == tr.zhat.size == 0
 
 
