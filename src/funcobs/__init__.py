@@ -19,8 +19,7 @@ _EXPORTS = {
     "lie": """lie_derivative lie_table measured_derivatives target_derivatives
         lie_series_predict""",
     "observability": """RankReport FunctionalRankCheck FunctionalIndexScan
-        PsiRepresentation observability_index functional_rank_check
-        functional_index_candidate analysis verify_psi load_psi numeric_rank""",
+        PsiRepresentation analysis verify_psi load_psi numeric_rank""",
     "synthesis": """AlphaCoeffs ObserverIO LinearObserver UnstablePolesError
         SynthesisError poles_to_alphas make_alphas synthesize_nonlinear
         invariance_identity verify_invariance linear_functional_index compute_M

@@ -188,6 +188,14 @@ def _resolve_system(cfg: RunConfig) -> tuple[SystemDef, str]:
     raise CliInputError("a system file or --builtin is required")
 
 
+def _refuse_unused(cfg: RunConfig, route: str, *fields: str):
+    """Refuse an input that `route` would silently ignore."""
+    for nm in fields:
+        if getattr(cfg, nm) is not None:
+            flag = "a system file" if nm == "system" else f"--{nm}"
+            raise CliInputError(f"{route} does not use {flag}")
+
+
 def _outdir(cfg: RunConfig, default: str | None = None) -> str | None:
     out = cfg.out if cfg.out is not None else default
     if out is not None:
@@ -350,6 +358,7 @@ def _synthesize_linear(cfg: RunConfig) -> tuple[dict, LinearObserver]:
 
 def cmd_synthesize(cfg: RunConfig) -> int:
     if cfg.linear is not None:
+        _refuse_unused(cfg, "linear synthesis", "psi", "builtin", "system")
         payload, obs = _synthesize_linear(cfg)
     else:
         payload, obs = _synthesize_nonlinear(cfg)
@@ -510,8 +519,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
             raise CliInputError(
                 "a realized linear observer needs --linear with the plant matrices"
             )
+        _refuse_unused(cfg, "simulating a realized linear observer", "builtin", "system")
         trace, summary = _simulate_realized(cfg, load_linear_system(cfg.linear), cfg.linear, obs)
     else:
+        _refuse_unused(cfg, "simulating a T-form observer", "linear")
         sys_, label = _resolve_system(cfg)
         _check_psi_against_system(sys_, obs.T, f"{cfg.observer}: T", obs.v)
         trace, summary = _simulate_chain(cfg, sys_, label, obs)

@@ -417,15 +417,13 @@ def free_symbols(e: Expr) -> tuple[set[str], set[tuple[int, int]]]:
 # evaluation
 
 
-def evaluate(e: Expr, bindings: dict | None = None, wvals: dict | None = None) -> float:
+def evaluate(e: Expr, bindings: dict | None = None) -> float:
     """Evaluate to an IEEE double.
 
-    `bindings` maps names to reals; `wvals` maps (i, j) index pairs to reals.
-    Measurement-derivative variables also fall back to a `bindings` entry
-    under their textual name, so a single flat map works too.
+    `bindings` maps names to reals; a measurement-derivative variable is
+    bound under its textual name ``w<i>_<j>``.
     """
     bindings = bindings or {}
-    wvals = wvals or {}
 
     def ev(x) -> float:
         if isinstance(x, Const):
@@ -439,15 +437,19 @@ def evaluate(e: Expr, bindings: dict | None = None, wvals: dict | None = None) -
             except KeyError:
                 raise EvalError(f"unbound symbol '{x.name}'", x) from None
         if isinstance(x, WVar):
-            if (x.i, x.j) in wvals:
-                return float(wvals[(x.i, x.j)])
             if x.name in bindings:
                 return float(bindings[x.name])
             raise EvalError(f"unbound measurement derivative '{x.name}'", x)
         if isinstance(x, Neg):
             return -ev(x.arg)
         if isinstance(x, Sum):
-            return math.fsum(ev(t) for t in x.terms)
+            terms = [ev(t) for t in x.terms]
+            try:
+                return math.fsum(terms)
+            except OverflowError:
+                raise EvalError("overflow in sum", x) from None
+            except ValueError:  # inf and -inf among the terms
+                raise EvalError("undefined sum of infinities", x) from None
         if isinstance(x, Product):
             acc = 1.0
             for f in x.factors:

@@ -1,8 +1,8 @@
 """Randomized local observability tests and functional representations.
 
 The rank tests sample the system box with a seeded generator and read the
-gradients of h and q at every sample from one pass of Taylor-mode jets
-(`funcobs.jets`), which `analysis` shares; a sample where a row a test
+gradients of h and q at every sample from the one pass of Taylor-mode
+jets (`funcobs.jets`) that `analysis` makes; a sample where a row a test
 reads is not finite is skipped and counted.  Rank is counted against a
 relative singular-value cutoff with an absolute floor, and mixed
 per-sample verdicts are reported rather than averaged away: a condition
@@ -87,16 +87,6 @@ def _rank_report(m: int, ranks: list[int], n_failed: int, full: int) -> RankRepo
     )
 
 
-def _jets(sys: SystemDef, order: int, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sampled states and the `flow_derivatives` of h and q to `order` at each."""
-    if order > MAX_ORDER:
-        raise ObservabilityError(
-            f"derivative order {order} exceeds {MAX_ORDER}: {order - 1}! is not a finite double"
-        )
-    pts = sample_states(sys, n_samples, seed)
-    return pts, flow_derivatives(sys, sys.h + (sys.q,), order, pts)
-
-
 def _gradient_stacks(sys: SystemDef, jets, m: int, k: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Output-derivative gradients of orders 0..m-1, shape (N, m*p, n), rows in
     `measured_derivatives` order, and target-derivative gradients of orders 0..k-1,
@@ -119,19 +109,6 @@ def _gradient_stacks(sys: SystemDef, jets, m: int, k: int) -> tuple[np.ndarray, 
     return J[ok], G[ok], int(np.count_nonzero(~ok))
 
 
-def observability_index(
-    sys: SystemDef, m_max: int, n_samples: int = 100, seed: int = 42
-) -> tuple[int | None, list[RankReport]]:
-    """Smallest derivative order whose gradient stack reaches full rank.
-
-    Returns (order, per-order reports); order is None when the rank table
-    saturates below n everywhere up to m_max.
-    """
-    if m_max < 1:
-        raise ObservabilityError("m_max must be >= 1")
-    return _index(sys, _jets(sys, m_max, n_samples, seed), m_max)
-
-
 def _index(sys: SystemDef, jets, m_max: int) -> tuple[int | None, list[RankReport]]:
     J, _, failed = _gradient_stacks(sys, jets, m_max, 0)  # only an h row can skip a sample
     reports = [
@@ -151,19 +128,6 @@ class FunctionalRankCheck:
     n_checked: int
     holds: bool
     verdict: str
-
-
-def functional_rank_check(
-    sys: SystemDef, m: int, n_samples: int = 100, seed: int = 42
-) -> FunctionalRankCheck:
-    """Does the target gradient stay inside the span of the output-derivative
-    gradients?  Necessary for any representation of the target in terms of
-    output derivatives up to order m-1; failure is a refutation, success is
-    sampled evidence only.
-    """
-    if m < 1:
-        raise ObservabilityError("derivative order m must be >= 1")
-    return _rank_check(sys, _jets(sys, m, n_samples, seed), m)
 
 
 def _rank_check(sys: SystemDef, jets, m: int) -> FunctionalRankCheck:
@@ -208,20 +172,6 @@ class FunctionalIndexScan:
     )
 
 
-def functional_index_candidate(
-    sys: SystemDef, v_max: int, n_samples: int = 100, seed: int = 42
-) -> FunctionalIndexScan:
-    """Scan candidate observer orders v = 1..v_max.
-
-    For order v, every derivative of the target up to order v must have its
-    gradient inside the span of the output-derivative gradients up to order
-    v, at every sampled point.
-    """
-    if v_max < 1:
-        raise ObservabilityError("v_max must be >= 1")
-    return _candidate(sys, _jets(sys, v_max + 1, n_samples, seed), v_max)
-
-
 def _candidate(sys: SystemDef, jets, v_max: int) -> FunctionalIndexScan:
     J, G, _ = _gradient_stacks(sys, jets, v_max + 1, v_max + 1)
     n_checked = len(J)
@@ -244,15 +194,35 @@ def _candidate(sys: SystemDef, jets, v_max: int) -> FunctionalIndexScan:
 
 
 def analysis(sys: SystemDef, m_max: int, v_max: int, n_samples: int = 100, seed: int = 42) -> tuple:
-    """`observability_index` and `functional_rank_check` at m_max and
-    `functional_index_candidate` at v_max, each as its own call returns it, from
-    one pass of jets: order k of a jet reads only lower orders and earlier entries."""
+    """The three rank tests, ((index, reports), check, scan), read from one
+    pass of jets at `n_samples` seeded points of the box.
+
+    - index is the smallest order m <= m_max whose output-derivative gradients
+      reach rank n, with one `RankReport` per m; it is None when the rank
+      saturates below n everywhere up to m_max.
+    - check asks whether the target gradient stays inside the span of the
+      output-derivative gradients up to order m_max - 1.  That is necessary
+      for any representation of the target in those derivatives: failure is
+      a refutation, success is sampled evidence only.
+    - scan tries observer orders v = 1..v_max; its candidate is the lowest v
+      at which every target derivative up to order v has its gradient inside
+      the span of the output-derivative gradients up to order v, at every
+      sample.
+
+    Order k of a jet reads only lower orders and earlier entries, so each
+    test reads the numbers a pass of its own order would give.
+    """
     if m_max < 1:
         raise ObservabilityError("m_max must be >= 1")
     if v_max < 1:
         raise ObservabilityError("v_max must be >= 1")
-    # m_max past MAX_ORDER is refused first, as observability_index refuses it
-    jets = _jets(sys, m_max if m_max > MAX_ORDER else max(m_max, v_max + 1), n_samples, seed)
+    order = m_max if m_max > MAX_ORDER else max(m_max, v_max + 1)  # a bad m_max is named first
+    if order > MAX_ORDER:
+        raise ObservabilityError(
+            f"derivative order {order} exceeds {MAX_ORDER}: {order - 1}! is not a finite double"
+        )
+    pts = sample_states(sys, n_samples, seed)
+    jets = pts, flow_derivatives(sys, sys.h + (sys.q,), order, pts)
     return _index(sys, jets, m_max), _rank_check(sys, jets, m_max), _candidate(sys, jets, v_max)
 
 

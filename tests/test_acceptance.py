@@ -13,13 +13,7 @@ import pytest
 from funcobs.cli import builtin_double_integrator, data_path
 from funcobs.expr import equivalent_numeric, parse
 from funcobs.lie import lie_series_predict
-from funcobs.observability import (
-    functional_index_candidate,
-    functional_rank_check,
-    load_psi,
-    observability_index,
-    verify_psi,
-)
+from funcobs.observability import analysis, load_psi, verify_psi
 from funcobs.sim import (
     chain_init_exact,
     error_decay_fit,
@@ -140,14 +134,13 @@ def test_criterion_3_cstr_end_to_end(cstr_rep):
 
 def test_criterion_4_functional_without_state_observability():
     sys_ = builtin_batch_reactor()
-    index, reports = observability_index(sys_, m_max=6)
+    (index, reports), _, scan = analysis(sys_, 6, 3)
     assert index is None
     assert [r.max_rank for r in reports] == [1, 2, 2, 2, 2, 2]
 
-    chk = functional_rank_check(sys_, 2)
+    chk = analysis(sys_, 2, 1)[1]
     assert chk.holds
 
-    scan = functional_index_candidate(sys_, 3)
     assert scan.candidate == 1
     _passed(4, "state rank saturates at 2 < 3 yet the target passes the span check with v = 1")
 

@@ -313,6 +313,19 @@ def test_system_file_check_exit_2(tmp_path, capsys, edit, message):
     assert captured.out == ""
 
 
+def test_psi_check_with_every_sum_overflowing_exit_2(tmp_path, capsys):
+    # x + y overflows past the double range at every sample of the box
+    sys_path, psi_path = tmp_path / "sys.json", tmp_path / "psi.json"
+    box = [1e308, 1.5e308]
+    sys_path.write_text(json.dumps({"states": ["x", "y"], "f": ["0", "0"], "h": ["x", "y"],
+                                    "q": "x + y", "box": {"x": box, "y": box}}))
+    psi_path.write_text(json.dumps({"v": 1, "psi": ["w0_1 + w0_2", "w1_1 + w1_2"]}))
+    assert main(["analyze", str(sys_path), "--psi", str(psi_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 100/100 sample points failed to evaluate: ")
+    assert "overflow in sum in 'x + y'" in err
+
+
 def test_all_samples_failing_exit_2(tmp_path, capsys):
     raw = builtin_batch_reactor().to_dict()
     path = tmp_path / "sys.json"
@@ -830,10 +843,25 @@ def _refusal_files(tmp_path) -> dict:
          "--x0 needs 3 values for this system"),
         ("simulate --builtin batch-reactor --observer {realized} --x0=1,0.2,0.1",
          "a realized linear observer needs --linear with the plant matrices"),
+        # inputs a route would otherwise ignore
+        ("simulate --observer {realized} --linear {linear} --builtin cstr --x0=0,1",
+         "simulating a realized linear observer does not use --builtin"),
+        ("simulate {system} --observer {realized} --linear {linear} --x0=0,1",
+         "simulating a realized linear observer does not use a system file"),
+        ("simulate --builtin batch-reactor --observer {observer} --linear {linear} --x0=1,0.2,0.1",
+         "simulating a T-form observer does not use --linear"),
+        ("synthesize --linear {linear} --poles=-3 --psi {psi}",
+         "linear synthesis does not use --psi"),
+        ("synthesize --linear {linear} --poles=-3 --builtin batch-reactor",
+         "linear synthesis does not use --builtin"),
+        ("synthesize {system} --linear {linear} --poles=-3",
+         "linear synthesis does not use a system file"),
     ],
     ids=["samples-0", "m-max-0", "v-max-0", "offset-two-values", "file-and-builtin",
          "nonlinear-no-psi", "nonlinear-no-poles", "linear-no-poles", "psi-fails-verification",
-         "no-x0", "short-x0", "realized-no-linear"],
+         "no-x0", "short-x0", "realized-no-linear", "realized-and-builtin",
+         "realized-and-system-file", "T-form-and-linear", "linear-synthesis-and-psi",
+         "linear-synthesis-and-builtin", "linear-synthesis-and-system-file"],
 )
 def test_cli_refusal_exit_2(tmp_path, capsys, args, message):
     out = tmp_path / "run"

@@ -145,8 +145,6 @@ def test_evaluate_known_values(text, binds, expected):
 
 def test_evaluate_wvars():
     e = parse("w0_1^2 + w1_1")
-    assert evaluate(e, {}, {(0, 1): 3.0, (1, 1): 4.0}) == 13.0
-    # w values may also arrive as plain named bindings
     assert evaluate(e, {"w0_1": 3.0, "w1_1": 4.0}) == 13.0
 
 
@@ -167,6 +165,21 @@ def test_evaluate_reports_trig_of_infinity_as_domain_failure(fn):
     with pytest.raises(EvalError) as err:
         evaluate(parse(f"{fn}(x*x)"), {"x": 1e200})
     assert f"{fn}(x*x)" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, x, message",
+    [
+        # math.fsum raises OverflowError on a finite sum past the double range
+        ("x + y", 1e308, "overflow in sum in 'x + y'"),
+        # and ValueError on inf + -inf; x*x overflows to inf without raising
+        ("x*x - y*y", 1e200, "undefined sum of infinities in 'x*x - y*y'"),
+    ],
+)
+def test_evaluate_reports_a_failed_sum(text, x, message):
+    with pytest.raises(EvalError) as err:
+        evaluate(parse(text), {"x": x, "y": x})
+    assert str(err.value) == message
 
 
 def test_evaluate_rejects_nan_binding():
@@ -327,16 +340,16 @@ def small_exprs(draw, depth=0):
 
 
 BINDS = {"x": 0.7, "y": 1.3, "z": -0.4}
-WVALS = {(i, j): 0.3 * i + 0.9 * j for i in range(3) for j in (1, 2)}
+BINDS.update({f"w{i}_{j}": 0.3 * i + 0.9 * j for i in range(3) for j in (1, 2)})
 
 
 @given(small_exprs())
 def test_simplify_preserves_value(e):
     try:
-        before = evaluate(e, BINDS, WVALS)
+        before = evaluate(e, BINDS)
     except EvalError:
         return
-    after = evaluate(simplify(e), BINDS, WVALS)
+    after = evaluate(simplify(e), BINDS)
     assert abs(after - before) <= 1e-12 * (1.0 + abs(before))
 
 
@@ -346,10 +359,10 @@ def test_print_parse_roundtrip_random(e):
     assert parse(to_text(e)) is not None
     # value is preserved through printing, even if the tree is rebuilt
     try:
-        before = evaluate(e, BINDS, WVALS)
+        before = evaluate(e, BINDS)
     except EvalError:
         return
-    after = evaluate(parse(to_text(e)), BINDS, WVALS)
+    after = evaluate(parse(to_text(e)), BINDS)
     assert abs(after - before) <= 1e-12 * (1.0 + abs(before))
 
 
@@ -359,8 +372,8 @@ def test_derivative_linearity(e):
     d1 = differentiate(Sum((e, e)), "x")
     d2 = differentiate(e, "x")
     try:
-        lhs = evaluate(d1, BINDS, WVALS)
-        rhs = 2.0 * evaluate(d2, BINDS, WVALS)
+        lhs = evaluate(d1, BINDS)
+        rhs = 2.0 * evaluate(d2, BINDS)
     except EvalError:
         return
     assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(rhs))

@@ -18,13 +18,7 @@ from funcobs.expr import Const, EvalError, ExprError, Pow, Product, Quot, Sum, S
 from funcobs.expr import differentiate, evaluate, parse
 from funcobs.jets import flow_derivatives
 from funcobs.lie import lie_derivative
-from funcobs.observability import (
-    functional_index_candidate,
-    functional_rank_check,
-    numeric_rank,
-    observability_index,
-    sample_states,
-)
+from funcobs.observability import analysis, numeric_rank, sample_states
 from funcobs.system import SystemDef, builtin_batch_reactor, builtin_cstr, linear_to_system
 
 RTOL = 1e-12
@@ -127,12 +121,10 @@ def _oracle_ranks(sys_, h, q):
 def test_builtin_ranks_match_symbolic_at_cli_defaults(name):
     sys_, _, h, q = _builtin_oracle(name)
     index, base, aug, counts = _oracle_ranks(sys_, h, q)
-    _, reports = observability_index(sys_, M_MAX, n_samples=SAMPLES, seed=SEED)
+    (_, reports), fc, scan = analysis(sys_, M_MAX, V_MAX, SAMPLES, SEED)
     assert [r.ranks for r in reports] == index
-    fc = functional_rank_check(sys_, M_MAX, n_samples=SAMPLES, seed=SEED)
     assert fc.base.ranks == base
     assert fc.augmented.ranks == aug
-    scan = functional_index_candidate(sys_, V_MAX, n_samples=SAMPLES, seed=SEED)
     assert [c.n_in_span for c in scan.checks] == counts
 
 
@@ -276,12 +268,10 @@ def test_ln_domain_failures_skip_the_same_samples(h, q, skips):
     q0_ok = np.isfinite(qs[:, :1, :, 1:]).all(axis=(1, 2, 3))
     assert (0 < n - h_ok.sum() < n) if skips else h_ok.all()
 
-    _, reports = observability_index(sys_, m, n_samples=n, seed=SEED)
+    (_, reports), fc, scan = analysis(sys_, m, v, n, SEED)
     assert reports[-1].n_failed == n - h_ok.sum()
     assert reports[0].n_failed == n - h_ok.sum()
-    fc = functional_rank_check(sys_, m, n_samples=n, seed=SEED)
     assert fc.base.n_failed == n - (h_ok & q0_ok).sum()
-    scan = functional_index_candidate(sys_, v, n_samples=n, seed=SEED)
     h_ok_v = np.isfinite(hs[:, : v + 1, :, 1:]).all(axis=(1, 2, 3))
     assert scan.checks[0].n_checked == (h_ok_v & q_ok).sum()
 
@@ -293,7 +283,7 @@ def test_jets_raise_on_unbound_symbol():
         flow_derivatives(sys_, sys_.h, 3, sample_states(sys_, 4, SEED))
     assert not isinstance(err.value, EvalError)
     with pytest.raises(ExprError, match="unbound symbol") as err:
-        observability_index(sys_, 3, n_samples=4)
+        analysis(sys_, 3, 1, n_samples=4)
     assert not isinstance(err.value, EvalError)
 
 

@@ -13,12 +13,9 @@ from funcobs.observability import (
     ObservabilityError,
     PsiRepresentation,
     analysis,
-    functional_index_candidate,
-    functional_rank_check,
     load_psi,
     numeric_rank,
     numeric_ranks,
-    observability_index,
     sample_states,
     verify_psi,
 )
@@ -99,7 +96,7 @@ def test_batched_ranks_equal_per_sample_ranks(sys_):
 
 def test_double_integrator_observable_at_order_two():
     sys_ = _double_integrator_nl()
-    idx, reports = observability_index(sys_, 3)
+    (idx, reports), _, _ = analysis(sys_, 3, 1)
     assert idx == 2
     assert [r.max_rank for r in reports] == [1, 2, 2]
     assert "state-observable" in reports[1].verdict
@@ -107,27 +104,27 @@ def test_double_integrator_observable_at_order_two():
 
 def test_batch_rank_saturates_below_full():
     sys_ = builtin_batch_reactor()
-    idx, reports = observability_index(sys_, 6)
+    (idx, reports), _, _ = analysis(sys_, 6, 1)
     assert idx is None
     assert [r.max_rank for r in reports] == [1, 2, 2, 2, 2, 2]
     assert "not met" in reports[-1].verdict
 
 
 def test_cstr_state_observable():
-    idx, _ = observability_index(builtin_cstr(), 4)
+    idx = analysis(builtin_cstr(), 4, 1)[0][0]
     assert idx == 2
 
 
 def test_rank_report_is_deterministic():
     sys_ = builtin_batch_reactor()
-    r1 = observability_index(sys_, 3, n_samples=50, seed=11)[1][-1]
-    r2 = observability_index(sys_, 3, n_samples=50, seed=11)[1][-1]
+    r1 = analysis(sys_, 3, 1, n_samples=50, seed=11)[0][1][-1]
+    r2 = analysis(sys_, 3, 1, n_samples=50, seed=11)[0][1][-1]
     assert r1.ranks == r2.ranks
 
 
 def test_rank_monotone_in_m():
     sys_ = builtin_cstr()
-    _, reports = observability_index(sys_, 4, n_samples=40)
+    (_, reports), _, _ = analysis(sys_, 4, 1, n_samples=40)
     ranks = [r.max_rank for r in reports]
     assert all(a <= b for a, b in zip(ranks, ranks[1:]))
 
@@ -137,7 +134,7 @@ def test_rank_monotone_in_m():
 
 def test_batch_functional_check_passes_despite_state_deficiency():
     sys_ = builtin_batch_reactor()
-    fc = functional_rank_check(sys_, 6)
+    fc = analysis(sys_, 6, 1)[1]
     assert fc.holds
     assert fc.n_agree == fc.n_checked
 
@@ -145,25 +142,25 @@ def test_batch_functional_check_passes_despite_state_deficiency():
 def test_unreachable_target_fails_functional_check():
     # cC never shows up in any output derivative
     sys_ = with_target(builtin_batch_reactor(), parse("cC"))
-    fc = functional_rank_check(sys_, 4)
+    fc = analysis(sys_, 4, 1)[1]
     assert not fc.holds
     assert "left the measured span" in fc.verdict
 
 
 def test_functional_index_candidates():
-    assert functional_index_candidate(builtin_batch_reactor(), 3).candidate == 1
-    assert functional_index_candidate(builtin_cstr(), 3).candidate == 1
+    assert analysis(builtin_batch_reactor(), 1, 3)[2].candidate == 1
+    assert analysis(builtin_cstr(), 1, 3)[2].candidate == 1
 
 
 def test_functional_index_candidate_none_when_unreachable():
     sys_ = with_target(builtin_batch_reactor(), parse("cC"))
-    scan = functional_index_candidate(sys_, 3)
+    scan = analysis(sys_, 1, 3)[2]
     assert scan.candidate is None
     assert all(not c.holds for c in scan.checks if c.v == 1 and c.k == 0)
 
 
 def test_double_integrator_candidate():
-    assert functional_index_candidate(_double_integrator_nl(), 2).candidate == 1
+    assert analysis(_double_integrator_nl(), 1, 2)[2].candidate == 1
 
 
 def test_rank_tests_build_no_symbolic_table(monkeypatch):
@@ -173,11 +170,11 @@ def test_rank_tests_build_no_symbolic_table(monkeypatch):
     monkeypatch.setattr(funcobs.lie, "lie_table", forbidden)
     monkeypatch.setattr(funcobs.lie, "lie_derivative", forbidden)
     sys_ = builtin_cstr()
-    assert observability_index(sys_, 3, n_samples=20)[1][-1].max_rank == 3
-    assert observability_index(sys_, 6, n_samples=20)[0] == 2
-    assert functional_rank_check(sys_, 6, n_samples=20).holds
-    assert functional_index_candidate(sys_, 3, n_samples=20).candidate == 1
-    assert analysis(sys_, 6, 3, n_samples=20)[2].candidate == 1
+    assert analysis(sys_, 3, 1, n_samples=20)[0][1][-1].max_rank == 3
+    (index, _), fc, scan = analysis(sys_, 6, 3, n_samples=20)
+    assert index == 2
+    assert fc.holds
+    assert scan.candidate == 1
 
 
 def test_all_samples_failing_names_the_first_point_and_order():
@@ -187,13 +184,13 @@ def test_all_samples_failing_names_the_first_point_and_order():
     sys_ = system_from_dict(raw)
     first = ", ".join(f"{nm}={x!r}" for nm, x in zip(sys_.state_names, sample_states(sys_, 100, 42)[0].tolist()))
     with pytest.raises(ObservabilityError) as err:
-        observability_index(sys_, 6)
+        analysis(sys_, 6, 1)
     assert str(err.value) == (
         f"all 100 sample points failed to evaluate; at the first ({first}) "
         "the gradient of the order-2 derivative of output h[0] is not finite"
     )
     with pytest.raises(ObservabilityError, match="order-1 derivative of the target q is not finite"):
-        functional_index_candidate(sys_, 3)
+        analysis(sys_, 1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +199,10 @@ def test_all_samples_failing_names_the_first_point_and_order():
 @FOUR_SYSTEMS
 @pytest.mark.parametrize("m_max, n_samples, v_max", [(6, 100, 3), (12, 1000, 8), (3, 50, 6)])
 def test_analysis_equals_the_three_rank_tests(sys_, m_max, n_samples, v_max):
-    want = (
-        observability_index(sys_, m_max, n_samples),
-        functional_rank_check(sys_, m_max, n_samples),
-        functional_index_candidate(sys_, v_max, n_samples),
-    )
-    assert analysis(sys_, m_max, v_max, n_samples) == want
+    # each test reads the same from the shared pass as from the shortest pass it needs
+    index, fcheck, scan = analysis(sys_, m_max, v_max, n_samples)
+    assert (index, fcheck) == analysis(sys_, m_max, 1, n_samples)[:2]
+    assert scan == analysis(sys_, 1, v_max, n_samples)[2]
 
 
 def test_analysis_skips_a_sample_for_the_index_only_when_an_output_fails():
@@ -218,7 +213,8 @@ def test_analysis_skips_a_sample_for_the_index_only_when_an_output_fails():
     assert [r.n_failed for r in reports] == [0] * 6
     assert 0 < fcheck.base.n_failed < 100
     assert scan.checks[0].n_checked == 100 - fcheck.base.n_failed
-    assert (reports, fcheck) == (observability_index(sys_, 6)[1], functional_rank_check(sys_, 6))
+    (_, alone), alone_check, _ = analysis(sys_, 6, 1)
+    assert (reports, fcheck) == (alone, alone_check)
 
 
 # ---------------------------------------------------------------------------
