@@ -11,7 +11,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "expr": """Expr Const Sym WVar parse to_text evaluate differentiate substitute
+    "expr": """Expr Const Sym parse to_text evaluate differentiate substitute
         simplify equivalent_numeric free_symbols ExprError ParseError EvalError""",
     "system": """SystemDef LinearSystemDef SystemDefError load_system save_system
         load_linear_system save_linear_system linear_to_system builtin_batch_reactor

@@ -512,8 +512,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.observer is None:
         raise CliInputError("--observer is required")
     obs = load_observer(cfg.observer)
-    print("== funcobs simulate ==")
-    print(HEADER)
     if isinstance(obs, LinearObserver):
         if cfg.linear is None:
             raise CliInputError(
@@ -526,6 +524,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
         sys_, label = _resolve_system(cfg)
         _check_psi_against_system(sys_, obs.T, f"{cfg.observer}: T", obs.v)
         trace, summary = _simulate_chain(cfg, sys_, label, obs)
+    print("== funcobs simulate ==")
+    print(HEADER)
     _print_sim_summary(summary)
     out = _outdir(cfg, default=".")
     trace_path = os.path.join(out, "trace.csv")

@@ -24,6 +24,12 @@ _W_NAME = re.compile(r"w(\d+)_(\d+)\Z")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
+def w_index(name: str) -> tuple[int, int] | None:
+    """(i, j) of a measurement-derivative name ``w<i>_<j>``, else None."""
+    m = _W_NAME.match(name)
+    return (int(m.group(1)), int(m.group(2))) if m else None
+
+
 class ExprError(Exception):
     """Base class for expression-level failures."""
 
@@ -73,22 +79,6 @@ class Sym(Expr):
     def __post_init__(self):
         if not _IDENT.match(self.name):
             raise ExprError(f"bad symbol name {self.name!r}")
-
-
-@dataclass(frozen=True)
-class WVar(Expr):
-    """Derivative of measured output j of order i, named ``w<i>_<j>``."""
-
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if self.i < 0 or self.j < 1:
-            raise ExprError(f"bad measurement-derivative index w{self.i}_{self.j}")
-
-    @property
-    def name(self) -> str:
-        return f"w{self.i}_{self.j}"
 
 
 @dataclass(frozen=True)
@@ -275,15 +265,12 @@ class _Parser:
                 arg = self.expr()
                 self.expect(")")
                 return Call(val, arg)
-            m = _W_NAME.match(val)
-            if m:
-                i, j = int(m.group(1)), int(m.group(2))
-                if j < 1:
-                    raise ParseError(
-                        f"output index in {val!r} must be >= 1", self.text, pos
-                    )
-                return WVar(i, j)
-            return Sym(val)
+            w = w_index(val)
+            if w is None:
+                return Sym(val)
+            if w[1] < 1:
+                raise ParseError(f"output index in {val!r} must be >= 1", self.text, pos)
+            return Sym("w%d_%d" % w)  # w01_1 is w1_1
         if kind == "op" and val == "(":
             self.advance()
             e = self.expr()
@@ -325,7 +312,7 @@ def _const_nonneg(e: Expr) -> bool:
 
 
 def _is_atom(e: Expr) -> bool:
-    return isinstance(e, (Sym, WVar, Call)) or _const_nonneg(e)
+    return isinstance(e, (Sym, Call)) or _const_nonneg(e)
 
 
 def _pow_base_ok(e: Expr) -> bool:
@@ -334,7 +321,7 @@ def _pow_base_ok(e: Expr) -> bool:
     # than '^' in this grammar) of anything but a fraction, whose '/' does not
     if isinstance(e, Neg):
         return not (isinstance(e.arg, Const) and "/" in _fmt_const(e.arg.value))
-    if isinstance(e, (Sym, WVar, Call)):
+    if isinstance(e, (Sym, Call)):
         return True
     if isinstance(e, Const):
         v = e.value
@@ -348,8 +335,6 @@ def to_text(e: Expr) -> str:
     if isinstance(e, Const):
         return _fmt_const(e.value)
     if isinstance(e, Sym):
-        return e.name
-    if isinstance(e, WVar):
         return e.name
     if isinstance(e, Call):
         return f"{e.fn}({to_text(e.arg)})"
@@ -398,19 +383,22 @@ def to_text(e: Expr) -> str:
 # free symbols
 
 
-def free_symbols(e: Expr) -> tuple[set[str], set[tuple[int, int]]]:
-    """Return (named symbols, measurement-derivative indices) used in e."""
+def _sym_names(e: Expr) -> set[str]:
     names: set[str] = set()
-    wvars: set[tuple[int, int]] = set()
     stack = [e]
     while stack:
         x = stack.pop()
         if isinstance(x, Sym):
             names.add(x.name)
-        elif isinstance(x, WVar):
-            wvars.add((x.i, x.j))
         stack.extend(_operands(x))
-    return names, wvars
+    return names
+
+
+def free_symbols(e: Expr) -> tuple[set[str], set[tuple[int, int]]]:
+    """Return (named symbols, measurement-derivative indices) used in e."""
+    names = _sym_names(e)
+    wnames = {nm for nm in names if w_index(nm)}
+    return names - wnames, {w_index(nm) for nm in wnames}
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +424,6 @@ def evaluate(e: Expr, bindings: dict | None = None) -> float:
                 return float(bindings[x.name])
             except KeyError:
                 raise EvalError(f"unbound symbol '{x.name}'", x) from None
-        if isinstance(x, WVar):
-            if x.name in bindings:
-                return float(bindings[x.name])
-            raise EvalError(f"unbound measurement derivative '{x.name}'", x)
         if isinstance(x, Neg):
             return -ev(x.arg)
         if isinstance(x, Sum):
@@ -454,12 +438,20 @@ def evaluate(e: Expr, bindings: dict | None = None) -> float:
             acc = 1.0
             for f in x.factors:
                 acc *= ev(f)
+            # finite factors whose product is not finite overflowed (inf, or
+            # inf*0 = nan); they are evaluated again only on this rare path
+            if not math.isfinite(acc) and all(math.isfinite(ev(f)) for f in x.factors):
+                raise EvalError("overflow in product", x)
             return acc
         if isinstance(x, Quot):
             den = ev(x.den)
             if den == 0.0:
                 raise EvalError("division by zero", x)
-            return ev(x.num) / den
+            num = ev(x.num)
+            q = num / den
+            if math.isinf(q) and math.isfinite(num) and math.isfinite(den):
+                raise EvalError("overflow in quotient", x)
+            return q
         if isinstance(x, Pow):
             b = ev(x.base)
             try:
@@ -508,8 +500,6 @@ def differentiate(e: Expr, var: str) -> Expr:
             return Const(0)
         if isinstance(x, Sym):
             return Const(1) if x.name == var else Const(0)
-        if isinstance(x, WVar):
-            return Const(1) if x.name == var else Const(0)
         if isinstance(x, (Neg, Sum)):
             return _rebuild(x, [d(a) for a in _operands(x)])
         if isinstance(x, Product):
@@ -547,30 +537,18 @@ def differentiate(e: Expr, var: str) -> Expr:
 def substitute(e: Expr, repl: dict) -> Expr:
     """Simultaneous substitution, then simplification.
 
-    Keys are names (strings) or (i, j) pairs for measurement derivatives;
-    a string key matching the ``w<i>_<j>`` convention addresses the same
-    variable as the corresponding pair.  Values are expressions or strings.
+    Keys are names, measurement derivatives included (``w1_2``); values
+    are expressions or strings.
     """
     by_name: dict[str, Expr] = {}
-    by_w: dict[tuple[int, int], Expr] = {}
     for key, val in repl.items():
-        ve = as_expr(val)
-        if isinstance(key, tuple):
-            by_w[(int(key[0]), int(key[1]))] = ve
-        elif isinstance(key, str):
-            m = _W_NAME.match(key)
-            if m:
-                by_w[(int(m.group(1)), int(m.group(2)))] = ve
-            else:
-                by_name[key] = ve
-        else:
+        if not isinstance(key, str):
             raise ExprError(f"bad substitution key {key!r}")
+        by_name[key] = as_expr(val)
 
     def sub(x) -> Expr:
         if isinstance(x, Sym):
             return by_name.get(x.name, x)
-        if isinstance(x, WVar):
-            return by_w.get((x.i, x.j), x)
         return _rebuild(x, [sub(a) for a in _operands(x)])
 
     return simplify(sub(e))
@@ -596,7 +574,7 @@ def simplify(e: Expr) -> Expr:
 
 
 def _simp(e: Expr) -> Expr:
-    if isinstance(e, (Const, Sym, WVar)):
+    if isinstance(e, (Const, Sym)):
         return e
     if isinstance(e, Neg):
         a = _simp(e.arg)
@@ -913,11 +891,7 @@ def equivalent_numeric(
     fails to evaluate are skipped and counted; if more than half of the
     samples are skipped the check refuses to conclude anything.
     """
-    names1, w1 = free_symbols(e1)
-    names2, w2 = free_symbols(e2)
-    names = sorted(
-        names1 | names2 | {f"w{i}_{j}" for (i, j) in (w1 | w2)}
-    )
+    names = sorted(_sym_names(e1) | _sym_names(e2))
     missing = [nm for nm in names if nm not in box]
     if missing:
         raise ExprError(f"box does not cover variable(s) {missing}")
@@ -994,7 +968,7 @@ def _py_join(e: Expr, parts: list[str]) -> str:
 
 def _py_resolve(e: Expr, slots: dict):
     """Follow symbols whose slot is an (expression, slots) pair."""
-    while isinstance(e, (Sym, WVar)) and isinstance(slots.get(e.name), tuple):
+    while isinstance(e, Sym) and isinstance(slots.get(e.name), tuple):
         e, slots = slots[e.name]
     return e, slots
 
@@ -1007,7 +981,7 @@ def _py_src(e: Expr, slots: dict, consts: dict[str, float], memo: dict) -> str:
     e, slots = _py_resolve(e, slots)
     if isinstance(e, Const):
         return f"({float(e.value)!r})"
-    if isinstance(e, (Sym, WVar)):
+    if isinstance(e, Sym):
         nm = e.name
         if nm in slots:
             return slots[nm]
@@ -1038,7 +1012,7 @@ def _py_block(roots, consts: dict[str, float]):
 
     def count(e, slots):
         e, slots = _py_resolve(e, slots)
-        if isinstance(e, (Const, Sym, WVar)):
+        if isinstance(e, (Const, Sym)):
             return
         key = _py_src(e, slots, consts, memo)
         uses[key] = uses.get(key, 0) + 1
@@ -1051,7 +1025,7 @@ def _py_block(roots, consts: dict[str, float]):
 
     def emit(e, slots) -> str:
         e, slots = _py_resolve(e, slots)
-        if isinstance(e, (Const, Sym, WVar)):
+        if isinstance(e, (Const, Sym)):
             return _py_src(e, slots, consts, memo)
         key = _py_src(e, slots, consts, memo)
         if key in names:

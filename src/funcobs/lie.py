@@ -61,11 +61,11 @@ def lie_table(sys: SystemDef, exprs, order: int) -> list[tuple[Expr, ...]]:
     return table
 
 
-def measured_derivatives(sys: SystemDef, v: int) -> dict[tuple[int, int], Expr]:
-    """(i, j) -> the expression that the measurement derivative w<i>_<j> stands
+def measured_derivatives(sys: SystemDef, v: int) -> dict[str, Expr]:
+    """Name w<i>_<j> -> the expression that measurement derivative stands
     for, i <= v and j 1-based, ordered by derivative order, then output."""
     table = lie_table(sys, sys.h, v + 1)
-    return {(i, j): e for i, row in enumerate(table) for j, e in enumerate(row, start=1)}
+    return {f"w{i}_{j}": e for i, row in enumerate(table) for j, e in enumerate(row, start=1)}
 
 
 def target_derivatives(sys: SystemDef, v: int) -> list[Expr]:

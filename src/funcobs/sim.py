@@ -186,7 +186,7 @@ def simulate_coupled(
     def stage(u):
         # the chain entry c<k> is u[n+k]; T reads each w<i>_<j> in place
         xs = dict(zip(sys.state_names, u))
-        ws = {f"w{i}_{j}": (e, xs) for (i, j), e in wmap.items()}
+        ws = {nm: (e, xs) for nm, e in wmap.items()}
         lines, (*f, T) = _py_block([(e, xs) for e in sys.f] + [(obs.T, ws)], sys.params)
         feedback = "".join(f" - ({a!r})*{u[n + v - k]}" for k, a in enumerate(obs.alphas.alphas, 1))
         return lines, f + u[n + 1 :] + [f"({T}{feedback})"]

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Const, EquivalenceReport, Expr, Product, Sum, WVar, parse, simplify, substitute, to_text
+from .expr import Const, EquivalenceReport, Expr, Product, Sum, parse, simplify, substitute, to_text
 from .lie import measured_derivatives, target_derivatives
 from .observability import PsiRepresentation, numeric_rank
-from .system import LinearSystemDef, SystemDef, _read_json, system_equivalence, write_json
+from .system import LinearSystemDef, SystemDef, _linear_row, _read_json, system_equivalence, write_json
 from .system import as_matrix, check_shape, shipped_schema
 
 
@@ -271,17 +271,8 @@ def design_linear_observer(
 def linear_observer_chain_T(lobs: LinearObserver) -> Expr:
     """The observer's driving map as an expression over measurement
     derivatives, for chain-form simulation and cross-checks."""
-    v = lobs.v
-    terms: list[Expr] = []
-    for k in range(v + 1):
-        for j in range(1, lobs.p + 1):
-            c = float(lobs.betas[k, j - 1])
-            if c == 0.0:
-                continue
-            terms.append(Product((Const(c), WVar(v - k, j))))
-    if not terms:
-        return Const(0)
-    return simplify(terms[0] if len(terms) == 1 else Sum(tuple(terms)))
+    names = [f"w{lobs.v - k}_{j}" for k in range(lobs.v + 1) for j in range(1, lobs.p + 1)]
+    return simplify(_linear_row(lobs.betas.ravel(), names))
 
 
 def linear_observer_to_io(lobs: LinearObserver) -> ObserverIO:

@@ -30,7 +30,7 @@ from .expr import (
     Sum,
     Sym,
     _IDENT,
-    _W_NAME,
+    w_index,
 )
 
 
@@ -41,7 +41,7 @@ class SystemDefError(ValueError):
 def _check_name(name: str, kind: str):
     if not isinstance(name, str) or not _IDENT.match(name):
         raise SystemDefError(f"{kind} name {name!r} is not a valid identifier")
-    if _W_NAME.match(name):
+    if w_index(name) is not None:
         raise SystemDefError(
             f"{kind} name {name!r} collides with the measurement-derivative convention"
         )

@@ -804,7 +804,9 @@ def test_synthesize_non_finite_pole_exit_2(tmp_path, capsys, route, pole):
 )
 def test_simulate_T_reading_what_the_chain_cannot_supply_exit_2(tmp_path, capsys, T, message):
     assert _simulate_batch(tmp_path, "--x0=1,0.2,0.1", observer={**OBSERVER_V1, "T": T}) == 2
-    assert f"error: {message.format(path=tmp_path / 'observer.json')}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"error: {message.format(path=tmp_path / 'observer.json')}" in captured.err
+    assert captured.out == ""
     assert not (tmp_path / "run").exists()
 
 
@@ -866,8 +868,11 @@ def _refusal_files(tmp_path) -> dict:
 def test_cli_refusal_exit_2(tmp_path, capsys, args, message):
     out = tmp_path / "run"
     argv = args.format(**_refusal_files(tmp_path)).split()
+    capsys.readouterr()  # the realized observer file is written by a synthesize run
     assert main([*argv, "--out", str(out)]) == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 

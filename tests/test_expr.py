@@ -19,7 +19,6 @@ from funcobs.expr import (
     Quot,
     Sum,
     Sym,
-    WVar,
     compile_exprs,
     differentiate,
     equivalent_numeric,
@@ -71,7 +70,8 @@ def test_structures():
     assert parse("x/y") == Quot(Sym("x"), Sym("y"))
     assert parse("x^3") == Pow(Sym("x"), 3)
     assert parse("exp(x)") == Call("exp", Sym("x"))
-    assert parse("w2_1") == WVar(2, 1)
+    assert parse("w2_1") == Sym("w2_1")
+    assert parse("w02_1") == Sym("w2_1")
 
 
 def test_unary_minus_binds_before_power():
@@ -161,10 +161,10 @@ def test_evaluate_errors_name_subexpression():
 
 @pytest.mark.parametrize("fn", ["sin", "cos"])
 def test_evaluate_reports_trig_of_infinity_as_domain_failure(fn):
-    # x*x overflows to inf without raising; math.sin(inf) is a ValueError
+    # math.sin(inf) is a ValueError
     with pytest.raises(EvalError) as err:
-        evaluate(parse(f"{fn}(x*x)"), {"x": 1e200})
-    assert f"{fn}(x*x)" in str(err.value)
+        evaluate(parse(f"{fn}(x)"), {"x": math.inf})
+    assert str(err.value) == f"{fn} of inf is undefined in '{fn}(x)'"
 
 
 @pytest.mark.parametrize(
@@ -172,14 +172,38 @@ def test_evaluate_reports_trig_of_infinity_as_domain_failure(fn):
     [
         # math.fsum raises OverflowError on a finite sum past the double range
         ("x + y", 1e308, "overflow in sum in 'x + y'"),
-        # and ValueError on inf + -inf; x*x overflows to inf without raising
-        ("x*x - y*y", 1e200, "undefined sum of infinities in 'x*x - y*y'"),
+        # and ValueError on inf + -inf
+        pytest.param("x - y", math.inf, "undefined sum of infinities in 'x - y'",
+                     id="opposite-infinities"),
     ],
 )
 def test_evaluate_reports_a_failed_sum(text, x, message):
     with pytest.raises(EvalError) as err:
         evaluate(parse(text), {"x": x, "y": x})
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, bindings, message",
+    [
+        ("x*x*y", {"x": 1e200, "y": 1.0}, "overflow in product in 'x*x*y'"),
+        # the overflowing node is named, not the sum it feeds
+        ("x*x - y*y", {"x": 1e200, "y": 1e200}, "overflow in product in 'x*x'"),
+        # 1e200*1e200 is inf before the zero factor makes it nan
+        ("x*x*y", {"x": 1e200, "y": 0.0}, "overflow in product in 'x*x*y'"),
+        ("x/y", {"x": 1e300, "y": 1e-300}, "overflow in quotient in 'x/y'"),
+    ],
+)
+def test_evaluate_names_the_overflowing_node(text, bindings, message):
+    with pytest.raises(EvalError) as err:
+        evaluate(parse(text), bindings)
+    assert str(err.value) == message
+
+
+def test_evaluate_passes_an_infinite_operand_through_products_and_quotients():
+    # an infinite factor or operand is not an overflow of this node
+    assert evaluate(parse("exp(-x*y)"), {"x": math.inf, "y": 2.0}) == 0.0
+    assert evaluate(parse("exp(-x/y)"), {"x": math.inf, "y": 2.0}) == 0.0
 
 
 def test_evaluate_rejects_nan_binding():
@@ -249,7 +273,7 @@ def test_derivative_of_constant_is_zero():
 
 def test_substitute_names_and_wvars():
     e = parse("w1_1 + k2*w0_1^2")
-    out = substitute(e, {(1, 1): parse("k1*cA - k2*cB^2"), (0, 1): parse("cB")})
+    out = substitute(e, {"w1_1": parse("k1*cA - k2*cB^2"), "w0_1": parse("cB")})
     # the k2 terms cancel structurally
     assert to_text(out) in ("k1*cA", "cA*k1")
 
@@ -321,7 +345,7 @@ def small_exprs(draw, depth=0):
         if kind == "sym":
             return Sym(draw(st.sampled_from(["x", "y", "z"])))
         if kind == "w":
-            return WVar(draw(st.integers(0, 2)), draw(st.integers(1, 2)))
+            return Sym(f"w{draw(st.integers(0, 2))}_{draw(st.integers(1, 2))}")
         return Const(draw(st.sampled_from([0, 1, 2, -1, Fraction(1, 2), 0.25])))
     kind = draw(st.sampled_from(["sum", "prod", "quot", "pow", "neg", "call"]))
     a = draw(small_exprs(depth=depth + 1))
@@ -432,8 +456,11 @@ def test_equivalence_skips_counted():
 
 
 def test_equivalence_skips_trig_of_infinity():
-    # x*1e308 is inf for |x| > 1.8, about 40% of the box
-    r = equivalent_numeric(parse("sin(x*1e308)"), parse("sin(x*1e308) + 0"), {"x": (-3.0, 3.0)})
+    # 1e400 is inf as a double, so exp(1e400*x) is inf for x > 0, about 40%
+    # of the box, and 0 for x < 0
+    r = equivalent_numeric(
+        parse("sin(exp(1e400*x))"), parse("sin(exp(1e400*x)) + 0"), {"x": (-3.0, 2.0)}
+    )
     assert 0 < r.n_skipped < r.n_samples // 2
     assert r.equivalent
     assert all("sin of" in msg for msg in r.errors)
@@ -552,7 +579,7 @@ def test_py_block_computes_repeats_once_per_slots():
 def test_rebuild_from_operands_is_identity(e):
     ops = _operands(e)
     assert _rebuild(e, ops) == e
-    if isinstance(e, (Const, Sym, WVar)):
+    if isinstance(e, (Const, Sym)):
         assert ops == ()
     fresh = [Sym(f"q{k}") for k in range(len(ops))]
     assert _operands(_rebuild(e, fresh)) == tuple(fresh)

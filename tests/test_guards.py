@@ -12,8 +12,8 @@ from funcobs.expr import (
     Expr,
     ExprError,
     Pow,
+    ParseError,
     Sym,
-    WVar,
     as_expr,
     differentiate,
     evaluate,
@@ -26,13 +26,31 @@ from funcobs.jets import flow_derivatives
 from funcobs.lie import LieError, lie_series_predict, lie_table
 from funcobs.observability import ObservabilityError, PsiRepresentation, analysis
 from funcobs.sim import SimError, exact_error_grid, simulate_coupled
-from funcobs.synthesis import ObserverIO, SynthesisError, make_alphas, poles_to_alphas
-from funcobs.system import builtin_batch_reactor
+from funcobs.synthesis import (
+    ObserverIO,
+    SynthesisError,
+    compute_betas,
+    compute_M,
+    linear_functional_index,
+    linear_realization,
+    make_alphas,
+    poles_to_alphas,
+    xi_from_chain,
+)
+from funcobs.system import (
+    LinearSystemDef,
+    SystemDef,
+    SystemDefError,
+    builtin_batch_reactor,
+    load_linear_system,
+)
 
 BATCH = builtin_batch_reactor()
 X0 = [1.0, 0.2, 0.1]
 OBS = ObserverIO(v=1, alphas=make_alphas([2.0]), T=parse("w1_1 + 2*w0_1"))
 X = Sym("x")
+# F = 0: the target x2 is no combination of the measured x1 and its derivatives
+UNREACHABLE = LinearSystemDef(F=np.zeros((2, 2)), H=[[1.0, 0.0]], q=[[0.0, 1.0]])
 
 
 @pytest.mark.parametrize(
@@ -52,6 +70,34 @@ X = Sym("x")
                      "at least one coefficient is required", id="make_alphas-empty"),
         pytest.param(lambda: poles_to_alphas([]), SynthesisError,
                      "empty pole set", id="poles_to_alphas-empty"),
+        # the two poles pair up as conjugates within the pairing tolerance,
+        # but their product is too far from real
+        pytest.param(lambda: poles_to_alphas([-10 + 1e-8j, -10 + 5e-10j]), SynthesisError,
+                     "pole expansion produced complex coefficients",
+                     id="poles_to_alphas-complex"),
+        pytest.param(lambda: linear_functional_index(UNREACHABLE, 0), SynthesisError,
+                     "v_max must be >= 1", id="linear_functional_index-v_max"),
+        pytest.param(lambda: compute_M(UNREACHABLE, 1), SynthesisError,
+                     "target derivatives are not reproducible from output derivatives "
+                     "at order v=1 (residual 1.000e+00)", id="compute_M-unreachable"),
+        pytest.param(lambda: compute_betas(np.zeros((3, 2)), make_alphas([1.0])), SynthesisError,
+                     "M of shape (3, 2) does not match order v=1", id="compute_betas-shape"),
+        pytest.param(lambda: linear_realization(make_alphas([1.0]), [[1.0]]), SynthesisError,
+                     "need v+1 beta rows, got 1", id="linear_realization-rows"),
+        pytest.param(lambda: xi_from_chain(linear_realization(make_alphas([1.0]), [[1.0], [1.0]]),
+                                           [0.0, 0.0], [[0.0]]), SynthesisError,
+                     "need v estimate derivatives and v measurement derivative rows",
+                     id="xi_from_chain-shape"),
+        pytest.param(lambda: SystemDef(("1x",), {}, ("0",), ("1",), "1", {}), SystemDefError,
+                     "state name '1x' is not a valid identifier", id="SystemDef-state-name"),
+        pytest.param(lambda: SystemDef((), {}, (), ("1",), "1", {}), SystemDefError,
+                     "a system needs at least one state", id="SystemDef-no-state"),
+        pytest.param(lambda: SystemDef(("x", "y"), {}, ("0",), ("x",), "x", {}), SystemDefError,
+                     "vector field has 1 rows for 2 states", id="SystemDef-f-rows"),
+        pytest.param(lambda: SystemDef(("x",), {}, ("0",), (), "x", {}), SystemDefError,
+                     "at least one measured output is required", id="SystemDef-no-output"),
+        pytest.param(lambda: LinearSystemDef(F=[[0.0]], H=[[1.0]], q=[[1.0, 0.0]]), SystemDefError,
+                     "q must be a single row over the states", id="LinearSystemDef-q"),
         pytest.param(lambda: flow_derivatives(BATCH, BATCH.h, 2, np.zeros((4, 2))), ValueError,
                      "expected sample points of shape (N, 3), got (4, 2)",
                      id="flow_derivatives-shape"),
@@ -63,8 +109,6 @@ X = Sym("x")
                      SimError, "need a one-dimensional time grid", id="exact_error_grid-2d"),
         pytest.param(lambda: Const(True), ExprError, "bad constant True", id="Const-bool"),
         pytest.param(lambda: Sym("1x"), ExprError, "bad symbol name '1x'", id="Sym-name"),
-        pytest.param(lambda: WVar(-1, 1), ExprError,
-                     "bad measurement-derivative index w-1_1", id="WVar-order"),
         pytest.param(lambda: Pow(X, 1.5), ExprError,
                      "power exponent must be an integer, got 1.5", id="Pow-exponent"),
         pytest.param(lambda: Call("tan", X), ExprError, "unknown function 'tan'", id="Call-fn"),
@@ -72,6 +116,11 @@ X = Sym("x")
                      "cannot interpret [1] as an expression", id="as_expr-list"),
         pytest.param(lambda: substitute(X, {3: "x"}), ExprError,
                      "bad substitution key 3", id="substitute-key"),
+        pytest.param(lambda: substitute(X, {(1, 1): "x"}), ExprError,
+                     "bad substitution key (1, 1)", id="substitute-pair-key"),
+        pytest.param(lambda: parse("w1_0"), ParseError,
+                     "output index in 'w1_0' must be >= 1 (column 0 of 'w1_0')",
+                     id="parse-w-output-index"),
         pytest.param(lambda: evaluate(Pow(X, 2), {"x": 1e200}), EvalError,
                      "overflow in power in 'x^2'", id="evaluate-power-overflow"),
         pytest.param(lambda: evaluate(Pow(X, -1), {"x": 0.0}), EvalError,
@@ -90,3 +139,13 @@ def test_guard_refuses_bad_argument(call, error, message):
         call()
     assert type(err.value) is error
     assert str(err.value) == message
+
+
+def test_linear_file_with_infinity_is_refused(tmp_path):
+    # JSON's Infinity passes the schema's number check
+    path = tmp_path / "lin.json"
+    path.write_text('{"F": [[Infinity]], "H": [[1]], "q": [[1]]}')
+    with pytest.raises(SystemDefError) as err:
+        load_linear_system(path)
+    assert type(err.value) is SystemDefError
+    assert str(err.value) == "F has non-finite entries"

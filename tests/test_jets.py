@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from funcobs.cli import builtin_double_integrator
-from funcobs.expr import Const, EvalError, ExprError, Pow, Product, Quot, Sum, Sym, WVar
+from funcobs.expr import Const, EvalError, Expr, ExprError, Pow, Product, Quot, Sum, Sym
 from funcobs.expr import differentiate, evaluate, parse
 from funcobs.jets import flow_derivatives
 from funcobs.lie import lie_derivative
@@ -289,9 +289,14 @@ def test_jets_raise_on_unbound_symbol():
 
 def test_jets_raise_on_unsupported_node():
     sys_ = builtin_batch_reactor()
-    with pytest.raises(ExprError, match="cannot evaluate") as err:
-        flow_derivatives(sys_, (WVar(1, 1),), 2, sample_states(sys_, 4, SEED))
-    assert not isinstance(err.value, EvalError)
+    for node, message in (
+        (Sym("w1_1"), "unbound symbol 'w1_1' in jet evaluation"),
+        (Expr(), "cannot evaluate Expr() as a jet"),
+    ):
+        with pytest.raises(ExprError) as err:
+            flow_derivatives(sys_, (node,), 2, sample_states(sys_, 4, SEED))
+        assert str(err.value) == message
+        assert not isinstance(err.value, EvalError)
 
 
 def test_jets_keep_floating_point_state_scoped():

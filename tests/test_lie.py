@@ -70,7 +70,7 @@ def test_lie_derivative_rejects_w_vars():
 def test_measured_derivatives_order():
     sys_ = builtin_cstr()
     rows = list(measured_derivatives(sys_, 1).items())
-    assert [ij for ij, _ in rows] == [(0, 1), (0, 2), (1, 1), (1, 2)]
+    assert [nm for nm, _ in rows] == ["w0_1", "w0_2", "w1_1", "w1_2"]
     assert to_text(rows[0][1]) == "theta"
 
 

@@ -663,7 +663,7 @@ def _list_coupled_rhs(sys_, obs):
     wmap = measured_derivatives(sys_, v)
     f_fn = compile_exprs(sys_.f, sys_.state_names, sys_.params)
     w_fn = compile_exprs(list(wmap.values()), sys_.state_names, sys_.params)
-    T_fn = compile_exprs((obs.T,), [f"w{i}_{j}" for i, j in wmap], sys_.params)
+    T_fn = compile_exprs((obs.T,), list(wmap), sys_.params)
     a = obs.alphas.alphas
 
     def rhs(s):
