@@ -26,13 +26,7 @@ if "numpy" not in sys.modules:
 
 from .expr import EQUIV_RTOL, EvalError, ExprError, evaluate, to_text
 from .lie import LieError
-from .observability import (
-    ObservabilityError,
-    _check_psi_against_system,
-    analysis,
-    load_psi,
-    verify_psi,
-)
+from .observability import ObservabilityError, analysis, load_psi, verify_psi
 from .sim import (
     SimError,
     SimTrace,
@@ -522,7 +516,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     else:
         _refuse_unused(cfg, "simulating a T-form observer", "linear")
         sys_, label = _resolve_system(cfg)
-        _check_psi_against_system(sys_, obs.T, f"{cfg.observer}: T", obs.v)
+        sys_.check_reads(obs.T, f"{cfg.observer}: T", obs.v, ObservabilityError)
         trace, summary = _simulate_chain(cfg, sys_, label, obs)
     print("== funcobs simulate ==")
     print(HEADER)

@@ -30,6 +30,11 @@ def w_index(name: str) -> tuple[int, int] | None:
     return (int(m.group(1)), int(m.group(2))) if m else None
 
 
+def w_name(i: int, j: int) -> str:
+    """The name ``w<i>_<j>`` of output j differentiated i times."""
+    return f"w{i}_{j}"
+
+
 class ExprError(Exception):
     """Base class for expression-level failures."""
 
@@ -79,6 +84,10 @@ class Sym(Expr):
     def __post_init__(self):
         if not _IDENT.match(self.name):
             raise ExprError(f"bad symbol name {self.name!r}")
+        w = w_index(self.name)
+        if w is not None and (w[1] < 1 or self.name != w_name(*w)):
+            # w1_0 or w01_1: no binding by a canonical name would reach it
+            raise ExprError(f"bad measurement-derivative name {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -270,7 +279,7 @@ class _Parser:
                 return Sym(val)
             if w[1] < 1:
                 raise ParseError(f"output index in {val!r} must be >= 1", self.text, pos)
-            return Sym("w%d_%d" % w)  # w01_1 is w1_1
+            return Sym(w_name(*w))  # w01_1 is w1_1
         if kind == "op" and val == "(":
             self.advance()
             e = self.expr()
@@ -383,7 +392,8 @@ def to_text(e: Expr) -> str:
 # free symbols
 
 
-def _sym_names(e: Expr) -> set[str]:
+def free_symbols(e: Expr) -> set[str]:
+    """The names e reads: states, parameters and w<i>_<j> alike."""
     names: set[str] = set()
     stack = [e]
     while stack:
@@ -392,13 +402,6 @@ def _sym_names(e: Expr) -> set[str]:
             names.add(x.name)
         stack.extend(_operands(x))
     return names
-
-
-def free_symbols(e: Expr) -> tuple[set[str], set[tuple[int, int]]]:
-    """Return (named symbols, measurement-derivative indices) used in e."""
-    names = _sym_names(e)
-    wnames = {nm for nm in names if w_index(nm)}
-    return names - wnames, {w_index(nm) for nm in wnames}
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +894,7 @@ def equivalent_numeric(
     fails to evaluate are skipped and counted; if more than half of the
     samples are skipped the check refuses to conclude anything.
     """
-    names = sorted(_sym_names(e1) | _sym_names(e2))
+    names = sorted(free_symbols(e1) | free_symbols(e2))
     missing = [nm for nm in names if nm not in box]
     if missing:
         raise ExprError(f"box does not cover variable(s) {missing}")

@@ -20,8 +20,8 @@ from .expr import (
     Product,
     Sum,
     differentiate,
-    free_symbols,
     simplify,
+    w_name,
 )
 from .jets import flow_derivatives
 from .system import SystemDef
@@ -33,12 +33,7 @@ class LieError(ValueError):
 
 def lie_derivative(sys: SystemDef, g: Expr) -> Expr:
     """One application of the plant's directional derivative to g."""
-    names, wvars = free_symbols(g)
-    if wvars:
-        i, j = sorted(wvars)[0]
-        raise LieError(
-            f"measurement derivative w{i}_{j} is not a state-space quantity"
-        )
+    sys.check_reads(g, "the differentiated expression", error=LieError)
     terms = []
     for nm, fi in zip(sys.state_names, sys.f):
         dg = differentiate(g, nm)
@@ -65,7 +60,7 @@ def measured_derivatives(sys: SystemDef, v: int) -> dict[str, Expr]:
     """Name w<i>_<j> -> the expression that measurement derivative stands
     for, i <= v and j 1-based, ordered by derivative order, then output."""
     table = lie_table(sys, sys.h, v + 1)
-    return {f"w{i}_{j}": e for i, row in enumerate(table) for j, e in enumerate(row, start=1)}
+    return {w_name(i, j): e for i, row in enumerate(table) for j, e in enumerate(row, start=1)}
 
 
 def target_derivatives(sys: SystemDef, v: int) -> list[Expr]:

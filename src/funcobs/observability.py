@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import EquivalenceReport, Expr, free_symbols, parse, seeded_uniform, substitute
+from .expr import EquivalenceReport, Expr, free_symbols, parse, seeded_uniform, substitute, w_index, w_name
 from .jets import MAX_ORDER, flow_derivatives
 from .lie import measured_derivatives, target_derivatives
 from .system import SystemDef, _read_json, check_shape, shipped_schema, system_equivalence
@@ -248,11 +248,10 @@ class PsiRepresentation:
                 f"need {self.v + 1} psi expressions for order v={self.v}, got {len(self.psi)}"
             )
         for k, e in enumerate(self.psi):
-            _, wvars = free_symbols(e)
-            for i, j in sorted(wvars):
+            for i, j in sorted(filter(None, map(w_index, free_symbols(e)))):
                 if i > self.v:
                     raise ObservabilityError(
-                        f"psi[{k}] uses w{i}_{j} of derivative order {i} > v={self.v}"
+                        f"psi[{k}] uses {w_name(i, j)} of derivative order {i} > v={self.v}"
                     )
 
 
@@ -260,27 +259,6 @@ def load_psi(path) -> PsiRepresentation:
     raw = _read_json(path)
     check_shape(raw, shipped_schema("psi"), path, ObservabilityError)
     return PsiRepresentation(v=raw["v"], psi=tuple(parse(s) for s in raw["psi"]))
-
-
-def _check_psi_against_system(sys: SystemDef, e: Expr, label: str, v: int):
-    """Refuse what the order-v measurement derivatives of sys cannot supply:
-    a state, an unknown name, or w<i>_<j> with i > v or j > p."""
-    names, wvars = free_symbols(e)
-    for nm in sorted(names):
-        if nm in sys.state_names:
-            raise ObservabilityError(
-                f"{label} references state '{nm}' directly; only measurement "
-                "derivatives and parameters are allowed"
-            )
-        if nm not in sys.params:
-            raise ObservabilityError(f"unknown symbol '{nm}' in {label}")
-    for i, j in sorted(wvars):
-        if i > v:
-            raise ObservabilityError(f"{label} uses w{i}_{j} of derivative order {i} > v={v}")
-        if j > sys.p:
-            raise ObservabilityError(
-                f"{label} uses w{i}_{j} but the system has only {sys.p} output(s)"
-            )
 
 
 def verify_psi(
@@ -291,7 +269,7 @@ def verify_psi(
     box; report k is order k.  The representation is marked verified
     exactly when every order agrees."""
     for k, e in enumerate(rep.psi):
-        _check_psi_against_system(sys, e, f"psi[{k}]", rep.v)
+        sys.check_reads(e, f"psi[{k}]", rep.v, ObservabilityError)
     subs = measured_derivatives(sys, rep.v)
     Q = target_derivatives(sys, rep.v)
     reports = [

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Const, EquivalenceReport, Expr, Product, Sum, parse, simplify, substitute, to_text
+from .expr import Const, EquivalenceReport, Expr, Product, Sum, parse, simplify, substitute, to_text, w_name
 from .lie import measured_derivatives, target_derivatives
 from .observability import PsiRepresentation, numeric_rank
 from .system import LinearSystemDef, SystemDef, _linear_row, _read_json, system_equivalence, write_json
@@ -65,7 +65,8 @@ def poles_to_alphas(poles) -> AlphaCoeffs:
         p = pending.pop()
         tol = 1e-9 * (1.0 + abs(p))
         match = next(
-            (k for k, q in enumerate(pending) if abs(q - p.conjugate()) <= tol), None
+            (k for k, q in enumerate(pending) if q.imag * p.imag < 0 and abs(q - p.conjugate()) <= tol),
+            None,
         )
         if match is None:
             raise SynthesisError(
@@ -271,7 +272,7 @@ def design_linear_observer(
 def linear_observer_chain_T(lobs: LinearObserver) -> Expr:
     """The observer's driving map as an expression over measurement
     derivatives, for chain-form simulation and cross-checks."""
-    names = [f"w{lobs.v - k}_{j}" for k in range(lobs.v + 1) for j in range(1, lobs.p + 1)]
+    names = [w_name(lobs.v - k, j) for k in range(lobs.v + 1) for j in range(1, lobs.p + 1)]
     return simplify(_linear_row(lobs.betas.ravel(), names))
 
 

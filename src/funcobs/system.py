@@ -31,6 +31,7 @@ from .expr import (
     Sym,
     _IDENT,
     w_index,
+    w_name,
 )
 
 
@@ -81,6 +82,28 @@ class SystemDef:
         out.update(self.params)
         return out
 
+    def check_reads(self, e: Expr, label: str, v: int | None = None, error=SystemDefError):
+        """Raise `error`, naming label, where e reads a name it may not.  A
+        state-space expression (v None: f, h, q) reads states and parameters;
+        a psi entry or the T of an order-v observer reads parameters and the
+        measurement derivatives w<i>_<j> with i <= v and j <= p."""
+        index = {nm: w_index(nm) for nm in free_symbols(e)}
+        for nm in sorted(nm for nm, w in index.items() if w is None):
+            if v is not None and nm in self.state_names:
+                raise error(
+                    f"{label} references state '{nm}' directly; only measurement "
+                    "derivatives and parameters are allowed"
+                )
+            if nm not in self.params and nm not in self.state_names:
+                raise error(f"unknown symbol '{nm}' in {label}")
+        for i, j in sorted(w for w in index.values() if w):
+            if v is None:
+                raise error(f"measurement derivative {w_name(i, j)} not allowed in {label}")
+            if i > v:
+                raise error(f"{label} uses {w_name(i, j)} of derivative order {i} > v={v}")
+            if j > self.p:
+                raise error(f"{label} uses {w_name(i, j)} but the system has only {self.p} output(s)")
+
     def to_dict(self) -> dict:
         return {
             "states": list(self.state_names),
@@ -112,20 +135,9 @@ def _validate(sys: SystemDef):
     if len(sys.h) < 1:
         raise SystemDefError("at least one measured output is required")
 
-    allowed = set(sys.state_names) | set(sys.params)
     for label, exprs in (("f", sys.f), ("h", sys.h), ("q", (sys.q,))):
         for idx, e in enumerate(exprs):
-            names, wvars = free_symbols(e)
-            if wvars:
-                i, j = sorted(wvars)[0]
-                raise SystemDefError(
-                    f"measurement derivative w{i}_{j} not allowed in {label}[{idx}]"
-                )
-            for nm in sorted(names):
-                if nm not in allowed:
-                    raise SystemDefError(
-                        f"unknown symbol '{nm}' in {label}[{idx}] = '{e}'"
-                    )
+            sys.check_reads(e, f"{label}[{idx}] = '{e}'")
 
     for nm in sys.box:
         if nm not in sys.state_names:

@@ -29,6 +29,7 @@ from funcobs.expr import (
     simplify,
     substitute,
     to_text,
+    w_index,
 )
 from funcobs.expr import _operands, _rebuild
 
@@ -112,9 +113,9 @@ def test_parse_errors_carry_position():
 
 
 def test_w_names_reserved():
-    names, wvars = free_symbols(parse("w3_2 + cA"))
-    assert names == {"cA"}
-    assert wvars == {(3, 2)}
+    names = free_symbols(parse("w3_2 + cA"))
+    assert names == {"cA", "w3_2"}
+    assert w_index("w3_2") == (3, 2)
 
 
 @pytest.mark.parametrize("value", [3, 0.5, None, ["x"]], ids=repr)

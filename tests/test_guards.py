@@ -23,9 +23,17 @@ from funcobs.expr import (
     to_text,
 )
 from funcobs.jets import flow_derivatives
-from funcobs.lie import LieError, lie_series_predict, lie_table
+from funcobs.lie import LieError, lie_derivative, lie_series_predict, lie_table
 from funcobs.observability import ObservabilityError, PsiRepresentation, analysis
-from funcobs.sim import SimError, exact_error_grid, simulate_coupled
+from funcobs.sim import (
+    SimError,
+    error_decay_fit,
+    exact_error_grid,
+    integrate_plant,
+    simulate_coupled,
+    simulate_custom_observer,
+    simulate_linear_observer,
+)
 from funcobs.synthesis import (
     ObserverIO,
     SynthesisError,
@@ -42,13 +50,17 @@ from funcobs.system import (
     SystemDef,
     SystemDefError,
     builtin_batch_reactor,
+    builtin_double_integrator,
     load_linear_system,
 )
 
 BATCH = builtin_batch_reactor()
 X0 = [1.0, 0.2, 0.1]
 OBS = ObserverIO(v=1, alphas=make_alphas([2.0]), T=parse("w1_1 + 2*w0_1"))
+LOBS = linear_realization(make_alphas([1.0]), [[1.0], [1.0]])
 X = Sym("x")
+# dx/dt = 1/x is not finite at x = 0
+POLE = SystemDef(("x",), {}, ("1/x",), ("x",), "x", {"x": (0.0, 1.0)})
 # F = 0: the target x2 is no combination of the measured x1 and its derivatives
 UNREACHABLE = LinearSystemDef(F=np.zeros((2, 2)), H=[[1.0, 0.0]], q=[[0.0, 1.0]])
 
@@ -58,8 +70,15 @@ UNREACHABLE = LinearSystemDef(F=np.zeros((2, 2)), H=[[1.0, 0.0]], q=[[0.0, 1.0]]
     [
         pytest.param(lambda: lie_table(BATCH, BATCH.h, 0), LieError,
                      "derivative table needs order >= 1", id="lie_table-order"),
+        pytest.param(lambda: lie_derivative(BATCH, parse("k*cA")), LieError,
+                     "unknown symbol 'k' in the differentiated expression", id="lie_derivative-name"),
+        pytest.param(lambda: lie_derivative(BATCH, parse("w0_1 + cA")), LieError,
+                     "measurement derivative w0_1 not allowed in the differentiated expression",
+                     id="lie_derivative-w"),
         pytest.param(lambda: lie_series_predict(BATCH, X0, 0.1, -1), LieError,
                      "series order must be >= 0", id="lie_series_predict-order"),
+        pytest.param(lambda: lie_series_predict(POLE, [0.0], 0.1, 2), EvalError,
+                     "non-finite output derivative in 'x'", id="lie_series_predict-non-finite"),
         pytest.param(lambda: analysis(BATCH, 0, 1), ObservabilityError,
                      "m_max must be >= 1", id="analysis-m_max"),
         pytest.param(lambda: analysis(BATCH, 1, 0), ObservabilityError,
@@ -70,9 +89,14 @@ UNREACHABLE = LinearSystemDef(F=np.zeros((2, 2)), H=[[1.0, 0.0]], q=[[0.0, 1.0]]
                      "at least one coefficient is required", id="make_alphas-empty"),
         pytest.param(lambda: poles_to_alphas([]), SynthesisError,
                      "empty pole set", id="poles_to_alphas-empty"),
-        # the two poles pair up as conjugates within the pairing tolerance,
-        # but their product is too far from real
+        # the two poles lie within the pairing tolerance of each other's
+        # conjugate, but in the same half-plane
         pytest.param(lambda: poles_to_alphas([-10 + 1e-8j, -10 + 5e-10j]), SynthesisError,
+                     "pole set is not closed under conjugation: no partner for (-10+5e-10j)",
+                     id="poles_to_alphas-same-half-plane"),
+        # a conjugate within the pairing tolerance, whose imaginary residue the
+        # large real pole lifts past the coefficient tolerance
+        pytest.param(lambda: poles_to_alphas([0.5j, -0.5j + 1.4e-9j, -1000]), SynthesisError,
                      "pole expansion produced complex coefficients",
                      id="poles_to_alphas-complex"),
         pytest.param(lambda: linear_functional_index(UNREACHABLE, 0), SynthesisError,
@@ -84,8 +108,7 @@ UNREACHABLE = LinearSystemDef(F=np.zeros((2, 2)), H=[[1.0, 0.0]], q=[[0.0, 1.0]]
                      "M of shape (3, 2) does not match order v=1", id="compute_betas-shape"),
         pytest.param(lambda: linear_realization(make_alphas([1.0]), [[1.0]]), SynthesisError,
                      "need v+1 beta rows, got 1", id="linear_realization-rows"),
-        pytest.param(lambda: xi_from_chain(linear_realization(make_alphas([1.0]), [[1.0], [1.0]]),
-                                           [0.0, 0.0], [[0.0]]), SynthesisError,
+        pytest.param(lambda: xi_from_chain(LOBS, [0.0, 0.0], [[0.0]]), SynthesisError,
                      "need v estimate derivatives and v measurement derivative rows",
                      id="xi_from_chain-shape"),
         pytest.param(lambda: SystemDef(("1x",), {}, ("0",), ("1",), "1", {}), SystemDefError,
@@ -107,6 +130,14 @@ UNREACHABLE = LinearSystemDef(F=np.zeros((2, 2)), H=[[1.0, 0.0]], q=[[0.0, 1.0]]
                      "chain0 must have v=1 entries", id="simulate_coupled-chain0"),
         pytest.param(lambda: exact_error_grid(make_alphas([1.0]), [1.0], np.zeros((2, 2))),
                      SimError, "need a one-dimensional time grid", id="exact_error_grid-2d"),
+        pytest.param(lambda: simulate_custom_observer(BATCH, ["-xi1"], "xi1", X0, [0.0, 0.0], 1.0),
+                     SimError, "xi0 length must match the number of observer state equations",
+                     id="simulate_custom_observer-xi0"),
+        pytest.param(lambda: simulate_linear_observer(builtin_double_integrator(), LOBS, [0.0], [0.0], 1.0),
+                     SimError, "bad x0 or xi0 shape", id="simulate_linear_observer-x0"),
+        # a plant-only trace has no estimate, so its err column is NaN
+        pytest.param(lambda: error_decay_fit(integrate_plant(BATCH, X0, 0.01), 0.0, 0.01), SimError,
+                     "fit window contains non-finite error values", id="error_decay_fit-non-finite"),
         pytest.param(lambda: Const(True), ExprError, "bad constant True", id="Const-bool"),
         pytest.param(lambda: Sym("1x"), ExprError, "bad symbol name '1x'", id="Sym-name"),
         pytest.param(lambda: Pow(X, 1.5), ExprError,
@@ -121,6 +152,19 @@ UNREACHABLE = LinearSystemDef(F=np.zeros((2, 2)), H=[[1.0, 0.0]], q=[[0.0, 1.0]]
         pytest.param(lambda: parse("w1_0"), ParseError,
                      "output index in 'w1_0' must be >= 1 (column 0 of 'w1_0')",
                      id="parse-w-output-index"),
+        pytest.param(lambda: parse("x $ y"), ParseError,
+                     "unexpected character '$' (column 2 of 'x $ y')", id="parse-character"),
+        pytest.param(lambda: parse("x y"), ParseError,
+                     "unexpected trailing input 'y' (column 2 of 'x y')", id="parse-trailing"),
+        pytest.param(lambda: parse("x +"), ParseError,
+                     "unexpected end of input (column 3 of 'x +')", id="parse-end"),
+        # no binding by the parser's name w<i>_<j> would reach these
+        pytest.param(lambda: Sym("w1_0"), ExprError,
+                     "bad measurement-derivative name 'w1_0'", id="Sym-w-output-index"),
+        pytest.param(lambda: Sym("w01_1"), ExprError,
+                     "bad measurement-derivative name 'w01_1'", id="Sym-w-leading-zero"),
+        pytest.param(lambda: evaluate(parse("exp(x)"), {"x": 1000.0}), EvalError,
+                     "overflow in function evaluation in 'exp(x)'", id="evaluate-exp-overflow"),
         pytest.param(lambda: evaluate(Pow(X, 2), {"x": 1e200}), EvalError,
                      "overflow in power in 'x^2'", id="evaluate-power-overflow"),
         pytest.param(lambda: evaluate(Pow(X, -1), {"x": 0.0}), EvalError,

@@ -7,7 +7,7 @@ import pytest
 
 import funcobs.lie
 import funcobs.observability
-from funcobs.expr import parse, to_text
+from funcobs.expr import Const, Product, Quot, Sym, parse, substitute, to_text
 from funcobs.jets import flow_derivatives
 from funcobs.observability import (
     ObservabilityError,
@@ -215,6 +215,63 @@ def test_analysis_skips_a_sample_for_the_index_only_when_an_output_fails():
     assert scan.checks[0].n_checked == 100 - fcheck.base.n_failed
     (_, alone), alone_check, _ = analysis(sys_, 6, 1)
     assert (reports, fcheck) == (alone, alone_check)
+
+
+# ---------------------------------------------------------------------------
+# units: a state measured in other units (x = c*u) changes no verdict
+
+
+def _rescaled(sys_: SystemDef, c) -> SystemDef:
+    """sys_ over the states u = x / c: du_i/dt = f_i(c*u) / c_i, h and q read c*u."""
+    x = {nm: Product((Const(ci), Sym(nm))) for nm, ci in zip(sys_.state_names, c)}
+    return SystemDef(
+        state_names=sys_.state_names,
+        params=sys_.params,
+        f=[Quot(substitute(fi, x), Const(ci)) for fi, ci in zip(sys_.f, c)],
+        h=[substitute(hj, x) for hj in sys_.h],
+        q=substitute(sys_.q, x),
+        box={nm: (sys_.box[nm][0] / ci, sys_.box[nm][1] / ci) for nm, ci in zip(sys_.state_names, c)},
+    )
+
+
+def _verdicts(sys_: SystemDef):
+    (index, reports), check, scan = analysis(sys_, 6, 3)
+    return (
+        [(r.max_rank, r.fraction_max) for r in reports],
+        index,
+        check.n_agree,
+        [s.n_in_span for s in scan.checks],
+        scan.candidate,
+    )
+
+
+UNIT_BUILTINS = {"cstr": builtin_cstr, "batch-reactor": builtin_batch_reactor}
+UNIT_FACTORS = [
+    # powers of two scale every double exactly: a control on the helper
+    (2, 0.5, 4),
+    *(tuple(f if k == i else 1 for k in range(3)) for i in range(3) for f in (1e4, 1e-4, 1e8, 1e-8)),
+    (1e4, 1e-4, 1),
+    (1, 1e10, 1e-10),
+]
+
+
+@pytest.mark.parametrize(
+    "name, c",
+    [
+        pytest.param(
+            name, c, id=f"{name}-" + "-".join(f"{ci:g}" for ci in c),
+            # factors that span 1e8 change a verdict today, but not on the
+            # batch reactor's cC alone, which neither cA nor cB reads
+            marks=[pytest.mark.xfail(strict=True, reason="ROADMAP item 1: rank depends on units")]
+            if max(c) / min(c) >= 1e8 and (name, c[:2]) != ("batch-reactor", (1, 1)) else [],
+        )
+        for name in UNIT_BUILTINS
+        for c in UNIT_FACTORS
+    ],
+)
+def test_verdicts_do_not_depend_on_state_units(name, c):
+    sys_ = UNIT_BUILTINS[name]()
+    assert _verdicts(_rescaled(sys_, c)) == _verdicts(sys_)
 
 
 # ---------------------------------------------------------------------------
