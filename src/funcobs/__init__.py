@@ -14,8 +14,8 @@ _EXPORTS = {
     "expr": """Expr Const Sym parse to_text evaluate differentiate substitute
         simplify equivalent_numeric free_symbols ExprError ParseError EvalError""",
     "system": """SystemDef LinearSystemDef SystemDefError load_system save_system
-        load_linear_system save_linear_system linear_to_system builtin_batch_reactor
-        builtin_cstr builtin_double_integrator data_path system_equivalence with_target""",
+        load_linear_system linear_to_system builtin_batch_reactor builtin_cstr
+        builtin_double_integrator data_path system_equivalence""",
     "lie": """lie_derivative lie_table measured_derivatives target_derivatives
         lie_series_predict""",
     "observability": """RankReport FunctionalRankCheck FunctionalIndexScan
@@ -23,8 +23,7 @@ _EXPORTS = {
     "synthesis": """AlphaCoeffs ObserverIO LinearObserver UnstablePolesError
         SynthesisError poles_to_alphas make_alphas synthesize_nonlinear
         invariance_identity verify_invariance linear_functional_index compute_M
-        compute_betas linear_realization design_linear_observer
-        linear_observer_chain_T linear_observer_to_io xi_from_chain
+        compute_betas linear_realization design_linear_observer xi_from_chain
         linear_error_init save_observer load_observer""",
     "sim": """SimError SimTrace integrate_plant simulate_coupled
         simulate_custom_observer simulate_linear_observer chain_init_exact

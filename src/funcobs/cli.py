@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
+import io
 import math
 import os
 import sys
@@ -686,17 +688,21 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     # each dest is a RunConfig field; an option not given is None and keeps its default
     given = {k: v for k, v in vars(ns).items() if v is not None}
+    report = io.StringIO()  # shown once the command returns, so a refusal prints no report
     try:
         for nm, convert in (("poles", parse_poles), ("x0", parse_floats), ("init", parse_init)):
             if nm in given:
                 given[nm] = convert(given[nm])
-        return _COMMANDS[ns.command](RunConfig(**given))
+        with contextlib.redirect_stdout(report):
+            code = _COMMANDS[ns.command](RunConfig(**given))
     except UnstablePolesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
     except (CliInputError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    sys.stdout.write(report.getvalue())
+    return code
 
 
 def entry():

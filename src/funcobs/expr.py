@@ -937,7 +937,7 @@ def equivalent_numeric(
 
 
 # ---------------------------------------------------------------------------
-# compilation to plain python callables (used by the simulators)
+# compilation to plain python source (the simulator kernels use `_py_block`)
 
 _PYFN = {"exp": "_exp", "ln": "_log", "sin": "_sin", "cos": "_cos"}
 _PY_NS = {"_exp": math.exp, "_log": math.log, "_sin": math.sin, "_cos": math.cos}

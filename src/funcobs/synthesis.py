@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Const, EquivalenceReport, Expr, Product, Sum, parse, simplify, substitute, to_text, w_name
+from .expr import Const, EquivalenceReport, Expr, Product, Sum, parse, simplify, substitute, to_text
 from .lie import measured_derivatives, target_derivatives
 from .observability import PsiRepresentation, numeric_rank
-from .system import LinearSystemDef, SystemDef, _linear_row, _read_json, system_equivalence, write_json
+from .system import LinearSystemDef, SystemDef, _read_json, system_equivalence, write_json
 from .system import as_matrix, check_shape, shipped_schema
 
 
@@ -267,17 +267,6 @@ def design_linear_observer(
     M, _ = compute_M(lsys, v)
     betas = compute_betas(M, alphas)
     return linear_realization(alphas, betas)
-
-
-def linear_observer_chain_T(lobs: LinearObserver) -> Expr:
-    """The observer's driving map as an expression over measurement
-    derivatives, for chain-form simulation and cross-checks."""
-    names = [w_name(lobs.v - k, j) for k in range(lobs.v + 1) for j in range(1, lobs.p + 1)]
-    return simplify(_linear_row(lobs.betas.ravel(), names))
-
-
-def linear_observer_to_io(lobs: LinearObserver) -> ObserverIO:
-    return ObserverIO(v=lobs.v, alphas=lobs.alphas, T=linear_observer_chain_T(lobs))
 
 
 def xi_from_chain(lobs: LinearObserver, zhat_derivs, y_derivs) -> np.ndarray:

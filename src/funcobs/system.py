@@ -10,7 +10,7 @@ design pipeline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -330,10 +330,6 @@ def load_linear_system(path) -> LinearSystemDef:
     return LinearSystemDef(F=raw["F"], H=raw["H"], q=raw["q"])
 
 
-def save_linear_system(lsys: LinearSystemDef, path):
-    write_json(path, {"F": lsys.F.tolist(), "H": lsys.H.tolist(), "q": lsys.q.tolist()})
-
-
 def _linear_row(coefs, names) -> Expr:
     terms = []
     for c, nm in zip(coefs, names):
@@ -363,11 +359,6 @@ def linear_to_system(lsys: LinearSystemDef) -> SystemDef:
         q=_linear_row(lsys.q[0], names),
         box={nm: (-2.0, 2.0) for nm in names},
     )
-
-
-def with_target(sys: SystemDef, q) -> SystemDef:
-    """Copy of a system with a different estimation target."""
-    return replace(sys, q=as_expr(q))
 
 
 # ---------------------------------------------------------------------------

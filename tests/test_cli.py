@@ -21,7 +21,7 @@ from funcobs.cli import (
     parse_init,
     parse_poles,
 )
-from funcobs.system import builtin_batch_reactor, builtin_cstr, save_system, with_target
+from funcobs.system import builtin_batch_reactor, builtin_cstr, save_system
 
 PSI_BATCH = str(data_path("psi_batch.json"))
 
@@ -113,7 +113,7 @@ def test_analyze_builtin(tmp_path, capsys, load_schema):
 def test_analyze_reports_no_observer_order(tmp_path, capsys, load_schema):
     # cC is not functionally observable from cB at any order up to v_max
     sys_path = tmp_path / "sys.json"
-    save_system(with_target(builtin_batch_reactor(), "cC"), sys_path)
+    save_system(dataclasses.replace(builtin_batch_reactor(), q="cC"), sys_path)
     rc = main(["analyze", str(sys_path), "--out", str(tmp_path)])
     assert rc == 0
     assert "functional index candidate: none found up to v_max=3" in capsys.readouterr().out
@@ -874,6 +874,35 @@ def test_cli_refusal_exit_2(tmp_path, capsys, args, message):
     assert f"error: {message}" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "analyze --builtin cstr",
+        "synthesize --builtin batch-reactor --psi {psi} --poles=-2",
+        "synthesize --linear {linear} --poles=-3",
+        "simulate --builtin batch-reactor --observer {observer} --x0=1,0.2,0.1 --t-final=0.1",
+        "simulate --observer {realized} --linear {linear} --x0=0,1 --t-final=0.1",
+    ],
+    ids=["analyze", "synthesize-psi", "synthesize-linear", "simulate-T-form", "simulate-realized"],
+)
+@pytest.mark.parametrize(
+    "out, message",
+    [("file", "File exists"), ("file/run", "Not a directory")],
+    ids=["out-is-a-file", "out-below-a-file"],
+)
+def test_out_refused_after_the_stages_prints_no_report(tmp_path, capsys, args, out, message):
+    # --out is created only once every stage has run, yet the refusal
+    # leaves stdout as empty as one made before any stage
+    argv = args.format(**_refusal_files(tmp_path)).split()
+    (tmp_path / "file").write_text("")
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+    assert (tmp_path / "file").read_text() == ""
 
 
 def _with(doc: dict, key: str, value) -> dict:

@@ -1,8 +1,9 @@
 """Taylor-mode jets against the symbolic derivative table they replace.
 
-The oracle builds the table with `lie_derivative`, differentiates every
-entry with `differentiate` and evaluates value and gradients with the
-tree-walk `evaluate`, sample by sample, as the rank tests did before jets.
+The oracle builds the table with `lie_table` and differentiates every entry
+with `differentiate`, as the rank tests did before jets, and evaluates value
+and gradients through one `compile_exprs` callable, falling back to the
+tree-walk `evaluate` at the samples where that call fails.
 """
 
 import functools
@@ -15,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from funcobs.cli import builtin_double_integrator
 from funcobs.expr import Const, EvalError, Expr, ExprError, Pow, Product, Quot, Sum, Sym
-from funcobs.expr import differentiate, evaluate, parse
+from funcobs.expr import compile_exprs, differentiate, evaluate, parse
 from funcobs.jets import flow_derivatives
-from funcobs.lie import lie_derivative
+from funcobs.lie import lie_table
 from funcobs.observability import analysis, numeric_rank, sample_states
 from funcobs.system import SystemDef, builtin_batch_reactor, builtin_cstr, linear_to_system
 
@@ -34,27 +35,36 @@ BUILTINS = {
 
 def _symbolic_table(sys_, exprs, order):
     """[k][e] = (L^k exprs[e], its partial derivatives by state)."""
-    rows = [list(exprs)]
-    for _ in range(order - 1):
-        rows.append([lie_derivative(sys_, e) for e in rows[-1]])
     return [
-        [(e, *(differentiate(e, nm) for nm in sys_.state_names)) for e in row] for row in rows
+        [(e, *(differentiate(e, nm) for nm in sys_.state_names)) for e in row]
+        for row in lie_table(sys_, exprs, order)
     ]
 
 
 def _evaluate_table(sys_, table, pts):
-    """Same layout as `flow_derivatives`; NaN where `evaluate` fails."""
-    out = np.full((len(pts), len(table), len(table[0]), 1 + sys_.n), np.nan)
-    for s, x in enumerate(pts):
+    """Same layout as `flow_derivatives`; NaN where `evaluate` fails.
+
+    The table is compiled once and called once per sample.  A sample whose
+    call raises or gives a non-finite entry is evaluated again entry by entry
+    with `evaluate`, so its NaNs fall where the tree walk puts them."""
+    flat = [expr for row in table for entries in row for expr in entries]
+    fn = compile_exprs(flat, sys_.state_names, sys_.params)
+    out = np.full((len(pts), len(flat)), np.nan)
+    for s, x in enumerate(pts.tolist()):
+        try:
+            out[s] = fn(x)
+        except (ZeroDivisionError, ValueError, OverflowError):
+            pass
+        if np.isfinite(out[s]).all():
+            continue
+        out[s] = np.nan
         b = sys_.bindings(x)
-        for k, row in enumerate(table):
-            for e, entries in enumerate(row):
-                for c, expr in enumerate(entries):
-                    try:
-                        out[s, k, e, c] = evaluate(expr, b)
-                    except EvalError:
-                        pass
-    return out
+        for i, expr in enumerate(flat):
+            try:
+                out[s, i] = evaluate(expr, b)
+            except EvalError:
+                pass
+    return out.reshape(len(pts), len(table), len(table[0]), 1 + sys_.n)
 
 
 @functools.lru_cache(maxsize=None)

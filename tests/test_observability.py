@@ -1,6 +1,7 @@
 """Rank tests, functional-index scans, and psi verification."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,14 +21,14 @@ from funcobs.observability import (
     verify_psi,
 )
 from funcobs.cli import builtin_double_integrator, data_path
-from funcobs.synthesis import poles_to_alphas, synthesize_nonlinear
+from funcobs.synthesis import linear_functional_index, poles_to_alphas, synthesize_nonlinear
 from funcobs.system import (
+    LinearSystemDef,
     SystemDef,
     builtin_batch_reactor,
     builtin_cstr,
     linear_to_system,
     system_from_dict,
-    with_target,
     write_json,
 )
 
@@ -71,7 +72,7 @@ FOUR_SYSTEMS = pytest.mark.parametrize(
         builtin_batch_reactor(),
         builtin_cstr(),
         linear_to_system(builtin_double_integrator()),
-        with_target(builtin_batch_reactor(), parse("cC")),
+        replace(builtin_batch_reactor(), q=parse("cC")),
     ],
     ids=["batch-reactor", "cstr", "double-integrator", "batch-target-cC"],
 )
@@ -141,7 +142,7 @@ def test_batch_functional_check_passes_despite_state_deficiency():
 
 def test_unreachable_target_fails_functional_check():
     # cC never shows up in any output derivative
-    sys_ = with_target(builtin_batch_reactor(), parse("cC"))
+    sys_ = replace(builtin_batch_reactor(), q=parse("cC"))
     fc = analysis(sys_, 4, 1)[1]
     assert not fc.holds
     assert "left the measured span" in fc.verdict
@@ -153,7 +154,7 @@ def test_functional_index_candidates():
 
 
 def test_functional_index_candidate_none_when_unreachable():
-    sys_ = with_target(builtin_batch_reactor(), parse("cC"))
+    sys_ = replace(builtin_batch_reactor(), q=parse("cC"))
     scan = analysis(sys_, 1, 3)[2]
     assert scan.candidate is None
     assert all(not c.holds for c in scan.checks if c.v == 1 and c.k == 0)
@@ -208,7 +209,7 @@ def test_analysis_equals_the_three_rank_tests(sys_, m_max, n_samples, v_max):
 def test_analysis_skips_a_sample_for_the_index_only_when_an_output_fails():
     # the gradient ln(cA - 1) + cA/(cA - 1) of this target is not finite where
     # cA <= 1, about half the box; the output cB never fails
-    sys_ = with_target(builtin_batch_reactor(), parse("cA*ln(cA - 1)"))
+    sys_ = replace(builtin_batch_reactor(), q=parse("cA*ln(cA - 1)"))
     (_, reports), fcheck, scan = analysis(sys_, 6, 3)
     assert [r.n_failed for r in reports] == [0] * 6
     assert 0 < fcheck.base.n_failed < 100
@@ -274,6 +275,33 @@ def test_verdicts_do_not_depend_on_state_units(name, c):
     assert _verdicts(_rescaled(sys_, c)) == _verdicts(sys_)
 
 
+def _route_system(seed: int) -> LinearSystemDef:
+    """A random linear system: generic, with a last state that neither H nor
+    the other states see, or with the target on a single state, by seed % 3."""
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+    F, H, q = rng.normal(size=(n, n)), rng.normal(size=(p, n)), rng.normal(size=(1, n))
+    if seed % 3 == 1:
+        F[:-1, -1] = H[:, -1] = 0.0
+    elif seed % 3 == 2:
+        q = np.eye(n)[int(rng.integers(n))][None, :]
+    return LinearSystemDef(F=F, H=H, q=q)
+
+
+def test_linear_and_sampled_routes_agree():
+    # the matrix route and the sampled route answer the same questions
+    candidates = set()
+    for seed in range(90):
+        lsys = _route_system(seed)
+        (index, _), _, scan = analysis(linear_to_system(lsys), 6, 3)
+        stack = np.vstack([lsys.H @ np.linalg.matrix_power(lsys.F, k) for k in range(6)])
+        ranks = [numeric_rank(stack[: lsys.p * m]) for m in range(1, 7)]
+        assert index == next((m for m, r in enumerate(ranks, 1) if r == lsys.n), None), seed
+        assert scan.candidate == linear_functional_index(lsys, 3), seed
+        candidates.add(scan.candidate)
+    assert candidates == {1, 2, 3, None}
+
+
 # ---------------------------------------------------------------------------
 # psi representations
 
@@ -327,7 +355,7 @@ def test_verify_psi_clears_a_stale_verified_flag():
     rep = load_psi(data_path("psi_batch.json"))
     verify_psi(builtin_batch_reactor(), rep)
     assert rep.verified
-    ver = verify_psi(with_target(builtin_batch_reactor(), "cC"), rep)
+    ver = verify_psi(replace(builtin_batch_reactor(), q="cC"), rep)
     assert not rep.verified
     assert [r.equivalent for r in ver] == [False, False]
     with pytest.warns(UserWarning, match="not been verified"):

@@ -26,7 +26,6 @@ from funcobs.sim import (
 )
 from funcobs.synthesis import (
     design_linear_observer,
-    linear_observer_to_io,
     make_alphas,
     poles_to_alphas,
     synthesize_nonlinear,
@@ -39,6 +38,8 @@ from funcobs.system import (
     builtin_cstr,
     linear_to_system,
 )
+
+from linear_chain import linear_observer_to_io
 
 X0 = np.array([1.0, 0.2, 0.1])
 
