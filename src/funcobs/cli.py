@@ -127,6 +127,14 @@ class RunConfig:
                 raise CliInputError(f"--{nm.replace('_', '-')} must be >= 1")
         if self.seed < 0:
             raise CliInputError("--seed must be >= 0")
+        # an --out that a file blocks is refused before any stage runs;
+        # os.makedirs raises at its first mkdir, below that file, so it
+        # creates nothing
+        path = self.out
+        while path and not os.path.exists(path):
+            path = os.path.dirname(path)
+        if path and not os.path.isdir(path):
+            os.makedirs(self.out, exist_ok=True)
 
 
 def parse_poles(text: str) -> tuple[complex, ...]:
@@ -227,21 +235,7 @@ def _analysis_payload(cfg: RunConfig, sys_: SystemDef, label: str) -> dict:
     }
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    sys_, label = _resolve_system(cfg)
-    payload = _analysis_payload(cfg, sys_, label)
-    if cfg.psi is not None:
-        rep = load_psi(cfg.psi)
-        residuals = [r.max_residual for r in verify_psi(sys_, rep, n_samples=cfg.samples, seed=cfg.seed)]
-        payload["psi_check"] = {
-            "v": rep.v,
-            "passed": rep.verified,
-            "max_residual": max(residuals),
-            "residuals": residuals,
-            "rtol": EQUIV_RTOL,
-        }
-    print("== funcobs analyze ==")
-    print(HEADER)
+def _print_analysis(cfg: RunConfig, sys_: SystemDef, label: str, payload: dict):
     print(f"system: {label}  (n={sys_.n} states, p={sys_.p} outputs, target {to_text(sys_.q)})")
     print(f"rank table over {cfg.samples} samples (seed {cfg.seed}):")
     for row in payload["rank_table"]:
@@ -264,6 +258,22 @@ def cmd_analyze(cfg: RunConfig) -> int:
     else:
         print(f"functional index candidate: v={cand}")
     print(f"  note: {payload['functional_index_note']}")
+
+
+def cmd_analyze(cfg: RunConfig) -> int:
+    sys_, label = _resolve_system(cfg)
+    payload = _analysis_payload(cfg, sys_, label)
+    if cfg.psi is not None:
+        rep = load_psi(cfg.psi)
+        residuals = [r.max_residual for r in verify_psi(sys_, rep, n_samples=cfg.samples, seed=cfg.seed)]
+        payload["psi_check"] = {
+            "v": rep.v,
+            "passed": rep.verified,
+            "max_residual": max(residuals),
+            "residuals": residuals,
+            "rtol": EQUIV_RTOL,
+        }
+    _print_analysis(cfg, sys_, label, payload)
     if "psi_check" in payload:
         pk = payload["psi_check"]
         word = "PASS" if pk["passed"] else "FAIL"
@@ -283,7 +293,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 # synthesize
 
 
-def _design(cfg: RunConfig, sys_: SystemDef):
+def _synthesize_nonlinear(cfg: RunConfig, sys_: SystemDef, label: str) -> tuple[dict, ObserverIO]:
     """The nonlinear design stage: verify psi against the system, place the
     poles, build the observer and check its defining identity."""
     if cfg.psi is None:
@@ -299,12 +309,7 @@ def _design(cfg: RunConfig, sys_: SystemDef):
         )
     obs = synthesize_nonlinear(rep, poles_to_alphas(cfg.poles), allow_unstable=cfg.allow_unstable)
     inv = verify_invariance(sys_, obs, n_samples=cfg.samples, seed=cfg.seed)
-    return max(residuals), obs, inv
-
-
-def _synthesize_nonlinear(cfg: RunConfig) -> tuple[dict, ObserverIO]:
-    sys_, label = _resolve_system(cfg)
-    psi_residual, obs, inv = _design(cfg, sys_)
+    psi_residual = max(residuals)
     payload = {
         "report": "synthesis",
         "defaults": dict(DEFAULTS),
@@ -316,8 +321,6 @@ def _synthesize_nonlinear(cfg: RunConfig) -> tuple[dict, ObserverIO]:
         "psi_max_residual": psi_residual,
         "invariance": {"max_residual": inv.max_residual, "passed": inv.equivalent, "rtol": EQUIV_RTOL},
     }
-    print("== funcobs synthesize ==")
-    print(HEADER)
     print(f"system: {label}; psi order v={obs.v}; poles {cfg.poles}")
     print(f"psi verification: max residual {psi_residual:.3e}")
     print(f"alphas (monic coefficients, high to low): {list(obs.alphas.alphas)}")
@@ -327,25 +330,22 @@ def _synthesize_nonlinear(cfg: RunConfig) -> tuple[dict, ObserverIO]:
     return payload, obs
 
 
-def _synthesize_linear(cfg: RunConfig) -> tuple[dict, LinearObserver]:
+def _synthesize_linear(cfg: RunConfig, lsys: LinearSystemDef, label: str) -> tuple[dict, LinearObserver]:
     if not cfg.poles:
         raise CliInputError("--poles is required")
-    lsys = load_linear_system(cfg.linear)
     lobs = design_linear_observer(
         lsys, cfg.poles, v_max=cfg.v_max, allow_unstable=cfg.allow_unstable
     )
     payload = {
         "report": "synthesis",
         "defaults": dict(DEFAULTS),
-        "system": {"source": cfg.linear, "n": lsys.n, "p": lsys.p},
+        "system": {"source": label, "n": lsys.n, "p": lsys.p},
         "mode": "linear",
         "poles": [[p.real, p.imag] for p in cfg.poles],
         "observer": lobs.to_dict(),
         "hurwitz": lobs.alphas.hurwitz,
     }
-    print("== funcobs synthesize ==")
-    print(HEADER)
-    print(f"linear system: {cfg.linear} (n={lsys.n}, p={lsys.p}); order v={lobs.v}")
+    print(f"linear system: {label} (n={lsys.n}, p={lsys.p}); order v={lobs.v}")
     print(f"alphas: {list(lobs.alphas.alphas)}")
     for nm in ("A", "B", "C", "D"):
         print(f"{nm} = {getattr(lobs, nm).tolist()}")
@@ -355,9 +355,9 @@ def _synthesize_linear(cfg: RunConfig) -> tuple[dict, LinearObserver]:
 def cmd_synthesize(cfg: RunConfig) -> int:
     if cfg.linear is not None:
         _refuse_unused(cfg, "linear synthesis", "psi", "builtin", "system")
-        payload, obs = _synthesize_linear(cfg)
+        payload, obs = _synthesize_linear(cfg, load_linear_system(cfg.linear), cfg.linear)
     else:
-        payload, obs = _synthesize_nonlinear(cfg)
+        payload, obs = _synthesize_nonlinear(cfg, *_resolve_system(cfg))
     out = _outdir(cfg, default=".")
     obs_path = os.path.join(out, "observer.json")
     save_observer(obs, obs_path)
@@ -520,8 +520,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
         sys_, label = _resolve_system(cfg)
         sys_.check_reads(obs.T, f"{cfg.observer}: T", obs.v, ObservabilityError)
         trace, summary = _simulate_chain(cfg, sys_, label, obs)
-    print("== funcobs simulate ==")
-    print(HEADER)
     _print_sim_summary(summary)
     out = _outdir(cfg, default=".")
     trace_path = os.path.join(out, "trace.csv")
@@ -567,53 +565,31 @@ _DEMOS = {
 }
 
 
-def _demo_chain(cfg: RunConfig):
-    sys_, label = _resolve_system(cfg)
-    analysis = _analysis_payload(cfg, sys_, label)
-    idx = analysis["observability_index"]
-    print(
-        f"analysis: observability index "
-        f"{idx if idx is not None else 'NOT FOUND (state rank deficient)'}; "
-        f"functional candidate v={analysis['functional_index_candidate']}"
-    )
-    psi_residual, obs, inv = _design(cfg, sys_)
-    print(
-        f"synthesis: poles {cfg.poles}; psi residual {psi_residual:.3e}; "
-        f"invariance residual {inv.max_residual:.3e}"
-    )
-    print(f"T = {to_text(obs.T)}")
-    trace, summary = _simulate_chain(cfg, sys_, label, obs)
-    return obs, trace, summary, {
-        "analysis": analysis,
-        "observer": obs.to_dict(),
-        "psi_max_residual": psi_residual,
-        "invariance_max_residual": inv.max_residual,
-    }
-
-
-def _demo_linear(cfg: RunConfig):
-    lsys = builtin_double_integrator()
-    lobs = design_linear_observer(lsys, cfg.poles, v_max=cfg.v_max)
-    print(f"double integrator: order v={lobs.v}, alphas {list(lobs.alphas.alphas)}")
-    for nm in ("A", "B", "C", "D"):
-        print(f"{nm} = {getattr(lobs, nm).tolist()}")
-    trace, summary = _simulate_realized(cfg, lsys, cfg.builtin, lobs)
-    return lobs, trace, summary, {"observer": lobs.to_dict()}
-
-
 def cmd_demo(cfg: RunConfig) -> int:
     preset = dict(_DEMOS[cfg.demo])
     if "psi" in preset:
         preset["psi"] = str(data_path(preset["psi"]))
     cfg = replace(cfg, **preset)
     out = _outdir(cfg, default=f"funcobs-demo-{cfg.demo}")
-    print(f"== funcobs demo {cfg.demo} ==")
-    print(HEADER)
-    stages = _demo_linear if cfg.demo == "linear" else _demo_chain
-    obs, trace, summary, fields = stages(cfg)
+    if cfg.demo == "linear":
+        lsys = builtin_double_integrator()
+        synthesis, obs = _synthesize_linear(cfg, lsys, cfg.builtin)
+        trace, summary = _simulate_realized(cfg, lsys, cfg.builtin, obs)
+        fields = {"observer": synthesis["observer"]}
+    else:
+        sys_, label = _resolve_system(cfg)
+        analysis = _analysis_payload(cfg, sys_, label)
+        _print_analysis(cfg, sys_, label, analysis)
+        synthesis, obs = _synthesize_nonlinear(cfg, sys_, label)
+        trace, summary = _simulate_chain(cfg, sys_, label, obs)
+        write_json(os.path.join(out, "analysis.json"), analysis)
+        fields = {
+            "analysis": analysis,
+            "observer": synthesis["observer"],
+            "psi_max_residual": synthesis["psi_max_residual"],
+            "invariance_max_residual": synthesis["invariance"]["max_residual"],
+        }
     _print_sim_summary(summary)
-    if "analysis" in fields:
-        write_json(os.path.join(out, "analysis.json"), fields["analysis"])
     save_observer(obs, os.path.join(out, "observer.json"))
     write_csv(trace, os.path.join(out, "trace.csv"))
     report = {
@@ -688,12 +664,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     # each dest is a RunConfig field; an option not given is None and keeps its default
     given = {k: v for k, v in vars(ns).items() if v is not None}
+    title = f"demo {ns.demo}" if ns.command == "demo" else ns.command
     report = io.StringIO()  # shown once the command returns, so a refusal prints no report
     try:
         for nm, convert in (("poles", parse_poles), ("x0", parse_floats), ("init", parse_init)):
             if nm in given:
                 given[nm] = convert(given[nm])
         with contextlib.redirect_stdout(report):
+            print(f"== funcobs {title} ==")
+            print(HEADER)
             code = _COMMANDS[ns.command](RunConfig(**given))
     except UnstablePolesError as exc:
         print(f"error: {exc}", file=sys.stderr)

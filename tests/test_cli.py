@@ -884,25 +884,37 @@ def test_cli_refusal_exit_2(tmp_path, capsys, args, message):
         "synthesize --linear {linear} --poles=-3",
         "simulate --builtin batch-reactor --observer {observer} --x0=1,0.2,0.1 --t-final=0.1",
         "simulate --observer {realized} --linear {linear} --x0=0,1 --t-final=0.1",
+        "demo batch",
     ],
-    ids=["analyze", "synthesize-psi", "synthesize-linear", "simulate-T-form", "simulate-realized"],
+    ids=["analyze", "synthesize-psi", "synthesize-linear", "simulate-T-form", "simulate-realized",
+         "demo"],
 )
 @pytest.mark.parametrize(
     "out, message",
-    [("file", "File exists"), ("file/run", "Not a directory")],
-    ids=["out-is-a-file", "out-below-a-file"],
+    [("file", "File exists"), ("file/run", "Not a directory"), ("file/a/b", "Not a directory")],
+    ids=["out-is-a-file", "out-below-a-file", "out-two-below-a-file"],
 )
-def test_out_refused_after_the_stages_prints_no_report(tmp_path, capsys, args, out, message):
-    # --out is created only once every stage has run, yet the refusal
-    # leaves stdout as empty as one made before any stage
+def test_out_refused_after_the_stages_prints_no_report(tmp_path, capsys, monkeypatch, args, out,
+                                                       message):
+    # --out is created only once every stage has run, but an --out that a
+    # file blocks is refused before any stage: each route's work fails here
     argv = args.format(**_refusal_files(tmp_path)).split()
+    for name in ("analysis", "verify_psi", "design_linear_observer", "simulate_coupled",
+                 "simulate_linear_observer"):
+        monkeypatch.setattr(funcobs.cli, name, _unreachable)
     (tmp_path / "file").write_text("")
     capsys.readouterr()
     assert main([*argv, "--out", str(tmp_path / out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and message in captured.err
+    with pytest.raises(OSError) as refusal:  # the error os.makedirs gives, creating nothing
+        os.makedirs(str(tmp_path / out), exist_ok=True)
+    assert captured.err == f"error: {refusal.value}\n" and message in captured.err
     assert captured.out == ""
     assert (tmp_path / "file").read_text() == ""
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a stage ran before its --out was refused")
 
 
 def _with(doc: dict, key: str, value) -> dict:
@@ -1052,12 +1064,26 @@ DEMO_STAGES = {
 }
 
 
+def _report_lines(out: str) -> list[str]:
+    """A run's printed report without its two header lines and `wrote` lines."""
+    return [ln for ln in out.splitlines()[2:] if not ln.startswith("wrote ")]
+
+
 @pytest.mark.parametrize("name", sorted(DEMO_STAGES))
-def test_demo_is_the_staged_pipeline(tmp_path, name):
+def test_demo_is_the_staged_pipeline(tmp_path, capsys, name):
     stages = DEMO_STAGES[name]
     demo, staged = tmp_path / "demo", tmp_path / "staged"
+    capsys.readouterr()
     assert main(["demo", name, "--t-final", "2", "--out", str(demo)]) == 0
+    demo_out = capsys.readouterr().out
+    assert demo_out.startswith(f"== funcobs demo {name} ==\n")
+    assert demo_out.endswith(f"\nwrote artifacts to {demo}\n")
+    printed = []
+    if name != "linear":
+        assert main(["analyze", *stages["analyze"], "--out", str(staged)]) == 0
+        printed += _report_lines(capsys.readouterr().out)
     assert main(["synthesize", *stages["synthesize"], "--out", str(staged)]) == 0
+    printed += _report_lines(capsys.readouterr().out)
     rc = main(
         [
             "simulate",
@@ -1071,6 +1097,10 @@ def test_demo_is_the_staged_pipeline(tmp_path, name):
         ]
     )
     assert rc == 0
+    printed += _report_lines(capsys.readouterr().out)
+    # the demo prints each stage's report, in order; its linear plant is
+    # labelled by its builtin name, not by the file the staged runs read
+    assert _report_lines(demo_out) == [ln.replace(LIN_DI, "double-integrator") for ln in printed]
     for fn in ("observer.json", "trace.csv"):
         assert (demo / fn).read_bytes() == (staged / fn).read_bytes(), fn
     report = _read(demo / "report.json")
@@ -1080,7 +1110,6 @@ def test_demo_is_the_staged_pipeline(tmp_path, name):
         assert report["simulation"]["system"].pop("source") == "double-integrator"
         assert summary["system"].pop("source") == LIN_DI
     else:
-        assert main(["analyze", *stages["analyze"], "--out", str(staged)]) == 0
         assert (demo / "analysis.json").read_bytes() == (staged / "analysis.json").read_bytes()
         synthesis = _read(staged / "synthesis.json")
         assert report["psi_max_residual"] == synthesis["psi_max_residual"]
