@@ -2,16 +2,19 @@
 """Split the start-up of a funcobs CLI process into its parts.
 
 Times fresh interpreters running `-c pass`, `-c "import numpy"`,
-`-c "import funcobs.cli"` in the calling environment, and
-`-c "import funcobs.cli"` again from cached bytecode, interleaved round by
-round so that drift of the machine's speed falls on all four alike, and
-prints one JSON line: the median wall and user+sys seconds and the median
-max RSS (MB) of each, and the number of threads the process holds after
-`import funcobs.cli` (null where /proc/self/task does not exist).  Max RSS is what `os.wait4` reports,
-as perfbench measures it; on Linux a child inherits the RSS of the process
-that spawns it as a floor, so run the script on its own, not from a larger
-process.  funcobs is imported from this checkout's src/; the thread
-variables of the calling environment pass through, so
+`-c "import funcobs.cli"` in the calling environment,
+`-c "import funcobs.cli"` again from cached bytecode, and a whole
+`funcobs analyze --builtin double-integrator` (no --out), so that a
+command's process stands next to its bare import.  The runs are interleaved
+round by round so that drift of the machine's speed falls on all five
+alike.  It prints one JSON line: the median wall and user+sys seconds and
+the median max RSS (MB) of each, and the number of threads the process
+holds after `import funcobs.cli` (null where /proc/self/task does not
+exist).  Max RSS is what `os.wait4` reports, as perfbench measures it; on
+Linux a child inherits the RSS of the process that spawns it as a floor,
+so run the script on its own, not from a larger process.  funcobs is
+imported from this checkout's src/; the thread variables of the calling
+environment pass through, so
 
     OPENBLAS_NUM_THREADS=2 python scripts/startup_split.py --runs 25
 
@@ -38,6 +41,9 @@ CODES = {
     "import numpy": "import numpy",
     "import funcobs.cli": "import funcobs.cli",
     CACHED: "import funcobs.cli",
+    "analyze --builtin double-integrator": (
+        "import sys, funcobs.cli; sys.exit(funcobs.cli.main(['analyze', '--builtin', 'double-integrator']))"
+    ),
 }
 TASKS_CODE = (
     "import json, os, funcobs.cli; t = '/proc/self/task'; "

@@ -10,13 +10,17 @@ exit codes.
 from __future__ import annotations
 
 import argparse
+import atexit
 import cmath
 import contextlib
+import functools
+import gc
 import io
 import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 if "numpy" not in sys.modules:
     # No funcobs matrix is large enough to use a BLAS thread pool, and
@@ -29,38 +33,14 @@ if "numpy" not in sys.modules:
 from .expr import EQUIV_RTOL, EvalError, ExprError, evaluate, to_text
 from .lie import LieError
 from .observability import ObservabilityError, analysis, load_psi, verify_psi
-from .sim import (
-    SimError,
-    SimTrace,
-    _check_outputs,
-    _steps,
-    chain_init_exact,
-    error_decay_fit,
-    exact_error_grid,
-    simulate_coupled,
-    simulate_linear_observer,
-    write_csv,
-)
-from .synthesis import (
-    LinearObserver,
-    ObserverIO,
-    SynthesisError,
-    UnstablePolesError,
-    design_linear_observer,
-    invariance_identity,
-    linear_error_init,
-    load_observer,
-    poles_to_alphas,
-    save_observer,
-    synthesize_nonlinear,
-    verify_invariance,
-    xi_from_chain,
-)
 from .system import (
     BUILTINS,
     LinearSystemDef,
+    SimError,
+    SynthesisError,
     SystemDef,
     SystemDefError,
+    UnstablePolesError,
     builtin_double_integrator,
     data_path,
     load_linear_system,
@@ -68,6 +48,11 @@ from .system import (
     write_json,
 )
 
+# funcobs.synthesis and funcobs.sim are imported by the stages that use
+# them, so an analyze run neither compiles nor runs them
+if TYPE_CHECKING:
+    from .sim import SimTrace
+    from .synthesis import LinearObserver, ObserverIO
 # after the funcobs modules, so that a run without cached bytecode compiles
 # expr.py before numpy is loaded: its peak RSS is 0.1-0.6 MB lower
 import numpy as np
@@ -98,6 +83,8 @@ class CliInputError(ValueError):
 
 @dataclass
 class RunConfig:
+    """The flags of one command, checked before any stage runs."""
+
     command: str
     system: str | None = None
     builtin: str | None = None
@@ -121,7 +108,9 @@ class RunConfig:
         for nm in ("dt", "t_final"):
             if not 0 < getattr(self, nm) < math.inf:
                 raise CliInputError(f"--{nm.replace('_', '-')} must be positive and finite")
-        _steps(self.t_final, self.dt)  # refused before any stage runs
+        if self.command in ("simulate", "demo"):  # the commands that take --dt and --t-final
+            from .sim import _steps
+            _steps(self.t_final, self.dt)  # refused before any stage runs
         for nm in ("samples", "m_max", "v_max"):
             if getattr(self, nm) < 1:
                 raise CliInputError(f"--{nm.replace('_', '-')} must be >= 1")
@@ -300,6 +289,7 @@ def _synthesize_nonlinear(cfg: RunConfig, sys_: SystemDef, label: str) -> tuple[
         raise CliInputError("--psi is required for nonlinear synthesis")
     if not cfg.poles:
         raise CliInputError("--poles is required")
+    from .synthesis import poles_to_alphas, synthesize_nonlinear, verify_invariance
     rep = load_psi(cfg.psi)
     residuals = [r.max_residual for r in verify_psi(sys_, rep, n_samples=cfg.samples, seed=cfg.seed)]
     if not rep.verified:
@@ -333,6 +323,7 @@ def _synthesize_nonlinear(cfg: RunConfig, sys_: SystemDef, label: str) -> tuple[
 def _synthesize_linear(cfg: RunConfig, lsys: LinearSystemDef, label: str) -> tuple[dict, LinearObserver]:
     if not cfg.poles:
         raise CliInputError("--poles is required")
+    from .synthesis import design_linear_observer
     lobs = design_linear_observer(
         lsys, cfg.poles, v_max=cfg.v_max, allow_unstable=cfg.allow_unstable
     )
@@ -353,6 +344,7 @@ def _synthesize_linear(cfg: RunConfig, lsys: LinearSystemDef, label: str) -> tup
 
 
 def cmd_synthesize(cfg: RunConfig) -> int:
+    from .synthesis import save_observer
     if cfg.linear is not None:
         _refuse_unused(cfg, "linear synthesis", "psi", "builtin", "system")
         payload, obs = _synthesize_linear(cfg, load_linear_system(cfg.linear), cfg.linear)
@@ -404,6 +396,7 @@ def _invariance_drift(sys_: SystemDef, obs: ObserverIO, trace: SimTrace) -> floa
     None for a trace with no rows."""
     if not trace.t.size:
         return None
+    from .synthesis import invariance_identity
     lhs, rhs = invariance_identity(sys_, obs)
     stride = max(1, trace.x.shape[0] // 200)
     worst = 0.0
@@ -418,6 +411,7 @@ def _invariance_drift(sys_: SystemDef, obs: ObserverIO, trace: SimTrace) -> floa
 
 
 def _sim_summary(cfg: RunConfig, trace: SimTrace, alphas, e_init, extra: dict) -> dict:
+    from .sim import error_decay_fit, exact_error_grid
     if trace.t.size:
         e_exact = exact_error_grid(alphas, e_init, trace.t)
         mismatch = float(np.max(np.abs(trace.err - e_exact)))
@@ -462,6 +456,7 @@ def _print_sim_summary(summary: dict):
 
 
 def _simulate_chain(cfg: RunConfig, sys_: SystemDef, label: str, obs: ObserverIO):
+    from .sim import chain_init_exact, simulate_coupled
     x0 = _x0(cfg, sys_.n)
     exact0 = chain_init_exact(sys_, x0, obs.v)
     chain0 = _init_chain(exact0, cfg.init)
@@ -482,6 +477,8 @@ def _simulate_chain(cfg: RunConfig, sys_: SystemDef, label: str, obs: ObserverIO
 
 
 def _simulate_realized(cfg: RunConfig, lsys: LinearSystemDef, label: str, lobs: LinearObserver):
+    from .sim import _check_outputs, simulate_linear_observer
+    from .synthesis import linear_error_init, xi_from_chain
     _check_outputs(lsys, lobs)
     x0 = _x0(cfg, lsys.n)
     powers = [np.linalg.matrix_power(lsys.F, k) for k in range(lobs.v)]
@@ -505,6 +502,8 @@ def _simulate_realized(cfg: RunConfig, lsys: LinearSystemDef, label: str, lobs: 
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
+    from .sim import write_csv
+    from .synthesis import LinearObserver, load_observer
     if cfg.observer is None:
         raise CliInputError("--observer is required")
     obs = load_observer(cfg.observer)
@@ -566,6 +565,8 @@ _DEMOS = {
 
 
 def cmd_demo(cfg: RunConfig) -> int:
+    from .sim import write_csv
+    from .synthesis import save_observer
     preset = dict(_DEMOS[cfg.demo])
     if "psi" in preset:
         preset["psi"] = str(data_path(preset["psi"]))
@@ -657,7 +658,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache  # once per process
+def _skip_exit_collection():
+    """Freeze every object at interpreter exit, so that the exit skips its
+    cyclic collection over all that the imports made, numpy's included.
+    Nothing is lost: each artifact is written inside a `with` block, and the
+    interpreter flushes stdout and stderr after the atexit callbacks.  A
+    process that calls main and goes on collects as before."""
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _skip_exit_collection()
     try:
         ns = _build_parser().parse_args(argv)
     except SystemExit as exc:

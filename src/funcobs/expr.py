@@ -62,12 +62,16 @@ class IndeterminateEquivalence(ExprError):
 
 @dataclass(frozen=True)
 class Expr:
+    """An immutable expression-tree node; equal trees compare and hash equal."""
+
     def __str__(self) -> str:
         return to_text(self)
 
 
 @dataclass(frozen=True)
 class Const(Expr):
+    """A numeric constant, exact (a Fraction) unless it was given as a float."""
+
     value: Fraction | float
 
     def __post_init__(self):
@@ -79,6 +83,8 @@ class Const(Expr):
 
 @dataclass(frozen=True)
 class Sym(Expr):
+    """A named state, parameter or measurement derivative `wk_j`."""
+
     name: str
 
     def __post_init__(self):
@@ -92,27 +98,37 @@ class Sym(Expr):
 
 @dataclass(frozen=True)
 class Neg(Expr):
+    """The negation of `arg`."""
+
     arg: Expr
 
 
 @dataclass(frozen=True)
 class Sum(Expr):
+    """The sum of `terms`."""
+
     terms: tuple[Expr, ...]
 
 
 @dataclass(frozen=True)
 class Product(Expr):
+    """The product of `factors`."""
+
     factors: tuple[Expr, ...]
 
 
 @dataclass(frozen=True)
 class Quot(Expr):
+    """The quotient `num / den`."""
+
     num: Expr
     den: Expr
 
 
 @dataclass(frozen=True)
 class Pow(Expr):
+    """`base` raised to an integer `exponent`."""
+
     base: Expr
     exponent: int
 
@@ -123,6 +139,8 @@ class Pow(Expr):
 
 @dataclass(frozen=True)
 class Call(Expr):
+    """A named elementary function of one argument, from FUNCTIONS."""
+
     fn: str
     arg: Expr
 
@@ -871,6 +889,8 @@ EQUIV_RTOL = 1e-9
 
 @dataclass
 class EquivalenceReport:
+    """Outcome of a sampled numeric comparison of two expressions."""
+
     equivalent: bool
     max_residual: float
     n_samples: int

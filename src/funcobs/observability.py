@@ -53,6 +53,8 @@ def sample_states(sys: SystemDef, n_samples: int, seed: int) -> np.ndarray:
 
 @dataclass
 class RankReport:
+    """Ranks of the output-derivative gradients of orders below m, per sample."""
+
     m: int
     ranks: list[int]
     max_rank: int
@@ -121,6 +123,8 @@ def _index(sys: SystemDef, jets, m_max: int) -> tuple[int | None, list[RankRepor
 
 @dataclass
 class FunctionalRankCheck:
+    """Whether adding the target gradient leaves the order-m rank unchanged."""
+
     m: int
     base: RankReport
     augmented: RankReport
@@ -156,6 +160,8 @@ def _rank_check(sys: SystemDef, jets, m: int) -> FunctionalRankCheck:
 
 @dataclass
 class SpanCheck:
+    """Whether target derivative k lies in the order-v measured span at each sample."""
+
     v: int
     k: int
     n_in_span: int
@@ -165,6 +171,8 @@ class SpanCheck:
 
 @dataclass
 class FunctionalIndexScan:
+    """The span checks of v = 1..v_max and the lowest v at which all hold."""
+
     candidate: int | None
     checks: list[SpanCheck]
     note: str = (

@@ -23,15 +23,7 @@ from .expr import Const, EquivalenceReport, Expr, Product, Sum, parse, simplify,
 from .lie import measured_derivatives, target_derivatives
 from .observability import PsiRepresentation, numeric_rank
 from .system import LinearSystemDef, SystemDef, _read_json, system_equivalence, write_json
-from .system import as_matrix, check_shape, shipped_schema
-
-
-class SynthesisError(ValueError):
-    pass
-
-
-class UnstablePolesError(SynthesisError):
-    pass
+from .system import SynthesisError, UnstablePolesError, as_matrix, check_shape, shipped_schema
 
 
 @dataclass
@@ -195,6 +187,8 @@ def compute_betas(M: np.ndarray, alphas: AlphaCoeffs) -> np.ndarray:
 
 @dataclass
 class LinearObserver:
+    """Order-v linear observer realized as xi' = A xi + B y, zhat = C xi + D y."""
+
     v: int
     alphas: AlphaCoeffs
     betas: np.ndarray  # (v+1, p)

@@ -39,6 +39,20 @@ class SystemDefError(ValueError):
     pass
 
 
+# The errors of funcobs.synthesis and funcobs.sim are defined here, beside
+# the plant's own, so that the CLI can catch them without loading either.
+class SynthesisError(ValueError):
+    pass
+
+
+class UnstablePolesError(SynthesisError):
+    pass
+
+
+class SimError(ValueError):
+    pass
+
+
 def _check_name(name: str, kind: str):
     if not isinstance(name, str) or not _IDENT.match(name):
         raise SystemDefError(f"{kind} name {name!r} is not a valid identifier")
@@ -52,6 +66,8 @@ def _check_name(name: str, kind: str):
 
 @dataclass
 class SystemDef:
+    """A plant dx/dt = f(x) with outputs h, target q, parameters and sampling box."""
+
     state_names: tuple[str, ...]
     params: dict[str, float]
     f: tuple[Expr, ...]
@@ -296,6 +312,8 @@ def as_matrix(rows, name: str, error=SystemDefError) -> np.ndarray:
 
 @dataclass
 class LinearSystemDef:
+    """A linear plant dx/dt = F x with outputs H x and target q x."""
+
     F: np.ndarray
     H: np.ndarray
     q: np.ndarray

@@ -899,9 +899,10 @@ def test_out_refused_after_the_stages_prints_no_report(tmp_path, capsys, monkeyp
     # --out is created only once every stage has run, but an --out that a
     # file blocks is refused before any stage: each route's work fails here
     argv = args.format(**_refusal_files(tmp_path)).split()
-    for name in ("analysis", "verify_psi", "design_linear_observer", "simulate_coupled",
-                 "simulate_linear_observer"):
-        monkeypatch.setattr(funcobs.cli, name, _unreachable)
+    for module, name in ((funcobs.cli, "analysis"), (funcobs.cli, "verify_psi"),
+                         (funcobs.synthesis, "design_linear_observer"),
+                         (funcobs.sim, "simulate_coupled"), (funcobs.sim, "simulate_linear_observer")):
+        monkeypatch.setattr(module, name, _unreachable)
     (tmp_path / "file").write_text("")
     capsys.readouterr()
     assert main([*argv, "--out", str(tmp_path / out)]) == 2
@@ -1165,6 +1166,41 @@ def test_sampling_runs_leave_numpy_random_out(tmp_path):
     proc = _run_python("-c", SAMPLING_RUNS_CODE, str(tmp_path), PSI_BATCH)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False False"
+
+
+# the exit code of one main run and which of sim and synthesis it loaded
+LOADED_CODE = (
+    "import sys; from funcobs.cli import main; code = main(sys.argv[1:]); "
+    "print(code, [m for m in ('funcobs.sim', 'funcobs.synthesis') if m in sys.modules])"
+)
+
+
+def test_analyze_loads_no_synthesis_or_simulation_code(tmp_path):
+    proc = _run_python("-c", LOADED_CODE, "analyze", "--builtin", "batch-reactor")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    observer = tmp_path / "observer.json"
+    observer.write_text(json.dumps(OBSERVER_V1))
+    proc = _run_python("-c", LOADED_CODE, "simulate", *BATCH_X0, "--observer", str(observer),
+                       "--t-final=0.1", "--out", str(tmp_path / "sim"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 ['funcobs.sim', 'funcobs.synthesis']"
+
+
+EXIT_FREEZE_CODE = (
+    "import atexit, gc, sys; from funcobs.cli import main; "
+    "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0)); "
+    "code = main(sys.argv[1:]); print('frozen after main:', gc.get_freeze_count() > 0); "
+    "sys.exit(code)"
+)
+
+
+def test_cli_process_skips_the_exit_collection():
+    # atexit callbacks run last registered first, so a handler registered
+    # before main runs after main's freeze; main itself freezes nothing
+    proc = _run_python("-c", EXIT_FREEZE_CODE, "analyze", "--builtin", "double-integrator")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["frozen after main: False", "frozen at exit: True"]
 
 
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")

@@ -55,7 +55,8 @@ def test_startup_split_prints_one_json_line(capsys):
     (line,) = capsys.readouterr().out.splitlines()
     split = json.loads(line)
     assert split["runs"] == 1
-    for name in ("pass", "import numpy", "import funcobs.cli", "import funcobs.cli, cached bytecode"):
+    for name in ("pass", "import numpy", "import funcobs.cli", "import funcobs.cli, cached bytecode",
+                 "analyze --builtin double-integrator"):
         assert split[name]["wall_s"] > 0 and split[name]["cpu_s"] >= 0
     tasks = split["tasks_after_cli_import"]
     assert tasks is None or tasks >= 1

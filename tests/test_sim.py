@@ -538,7 +538,7 @@ def test_csv_matches_per_value_writer(tmp_path, case):
     # the writer formats a column once when its bits repeat another's: the
     # specials repeat y as zhat and z as err, the batch rollout x2 as y1 and
     # x1 as z, and signed zeros make columns that are equal but not the same
-    if case == "rollout":  # 2,501 rows: two full blocks and a partial one
+    if case == "rollout":  # 2,501 rows: four full blocks and a partial one
         sys_, obs = _batch_setup()
         tr = simulate_coupled(sys_, obs, X0, chain_init_exact(sys_, X0, 1) + 0.1, 2.5, dt=1e-3)
     elif case == "signed-zeros":
