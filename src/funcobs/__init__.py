@@ -18,7 +18,7 @@ _EXPORTS = {
         builtin_double_integrator data_path system_equivalence""",
     "lie": """lie_derivative lie_table measured_derivatives target_derivatives
         lie_series_predict""",
-    "observability": """RankReport FunctionalRankCheck FunctionalIndexScan
+    "observability": """RankReport SpanCheck FunctionalIndexScan
         PsiRepresentation analysis verify_psi load_psi numeric_rank""",
     "synthesis": """AlphaCoeffs ObserverIO LinearObserver UnstablePolesError
         SynthesisError poles_to_alphas make_alphas synthesize_nonlinear

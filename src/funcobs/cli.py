@@ -202,6 +202,7 @@ def _outdir(cfg: RunConfig, default: str | None = None) -> str | None:
 
 def _analysis_payload(cfg: RunConfig, sys_: SystemDef, label: str) -> dict:
     (index, reports), fcheck, scan = analysis(sys_, cfg.m_max, cfg.v_max, cfg.samples, cfg.seed)
+    n_out = fcheck.n_checked - fcheck.n_in_span
     return {
         "report": "analysis",
         "defaults": dict(DEFAULTS),
@@ -215,12 +216,16 @@ def _analysis_payload(cfg: RunConfig, sys_: SystemDef, label: str) -> dict:
         "functional_rank_check": {
             "m": fcheck.m,
             "holds": fcheck.holds,
-            "n_agree": fcheck.n_agree,
+            "n_agree": fcheck.n_in_span,
             "n_checked": fcheck.n_checked,
-            "verdict": fcheck.verdict,
+            "verdict": (
+                "target gradient lies in the measured span at every sample (necessary condition holds)"
+                if fcheck.holds
+                else f"target gradient left the measured span at {n_out} of {fcheck.n_checked} samples"
+            ),
         },
         "functional_index_candidate": scan.candidate,
-        "functional_index_note": scan.note,
+        "functional_index_note": "candidate order from sampled gradient-span tests; necessary, not sufficient",
     }
 
 

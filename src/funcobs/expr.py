@@ -281,7 +281,10 @@ class _Parser:
         if kind == "num":
             self.advance()
             if "." in val or "e" in val or "E" in val:
-                return Const(float(val))
+                x = float(val)
+                if math.isinf(x):  # inf would print as the symbol inf
+                    raise ParseError(f"number {val} is outside the double range", self.text, pos)
+                return Const(x)
             return Const(Fraction(int(val)))
         if kind == "ident":
             self.advance()

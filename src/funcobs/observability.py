@@ -122,82 +122,41 @@ def _index(sys: SystemDef, jets, m_max: int) -> tuple[int | None, list[RankRepor
 
 
 @dataclass
-class FunctionalRankCheck:
-    """Whether adding the target gradient leaves the order-m rank unchanged."""
+class SpanCheck:
+    """At how many samples every target-derivative gradient of order < k lies
+    in the span of the output-derivative gradients of order < m; the scan's
+    check of observer order v has m = k = v + 1."""
 
     m: int
-    base: RankReport
-    augmented: RankReport
-    n_agree: int
-    n_checked: int
-    holds: bool
-    verdict: str
-
-
-def _rank_check(sys: SystemDef, jets, m: int) -> FunctionalRankCheck:
-    J, G, failed = _gradient_stacks(sys, jets, m, 1)
-    rb = numeric_ranks(J)
-    ra = numeric_ranks(np.concatenate([G, J], axis=1))
-    base_ranks = rb.tolist()
-    aug_ranks = ra.tolist()
-    agree = int(np.count_nonzero(rb == ra))
-    holds = agree == len(base_ranks)
-    verdict = (
-        "target gradient lies in the measured span at every sample (necessary condition holds)"
-        if holds
-        else f"target gradient left the measured span at {len(base_ranks) - agree} of {len(base_ranks)} samples"
-    )
-    return FunctionalRankCheck(
-        m=m,
-        base=_rank_report(m, base_ranks, failed, sys.n),
-        augmented=_rank_report(m, aug_ranks, failed, sys.n),
-        n_agree=agree,
-        n_checked=len(base_ranks),
-        holds=holds,
-        verdict=verdict,
-    )
-
-
-@dataclass
-class SpanCheck:
-    """Whether target derivative k lies in the order-v measured span at each sample."""
-
-    v: int
     k: int
     n_in_span: int
     n_checked: int
     holds: bool
 
 
+def _span_check(J: np.ndarray, G: np.ndarray, m: int, k: int) -> SpanCheck:
+    """Every row of G lies in the row space of J where appending G leaves the rank unchanged."""
+    in_span = int(np.count_nonzero(numeric_ranks(J) == numeric_ranks(np.concatenate([J, G], axis=1))))
+    return SpanCheck(m=m, k=k, n_in_span=in_span, n_checked=len(J), holds=in_span == len(J))
+
+
+def _rank_check(sys: SystemDef, jets, m: int) -> SpanCheck:
+    J, G, _ = _gradient_stacks(sys, jets, m, 1)
+    return _span_check(J, G, m, 1)
+
+
 @dataclass
 class FunctionalIndexScan:
-    """The span checks of v = 1..v_max and the lowest v at which all hold."""
+    """The span check of each v = 1..v_max and the lowest v at which it holds."""
 
     candidate: int | None
     checks: list[SpanCheck]
-    note: str = (
-        "candidate order from sampled gradient-span tests; necessary, not sufficient"
-    )
 
 
 def _candidate(sys: SystemDef, jets, v_max: int) -> FunctionalIndexScan:
-    J, G, _ = _gradient_stacks(sys, jets, v_max + 1, v_max + 1)
-    n_checked = len(J)
-
-    checks: list[SpanCheck] = []
-    candidate = None
-    for v in range(1, v_max + 1):
-        Jv = J[:, : sys.p * (v + 1)]
-        base = numeric_ranks(Jv)
-        all_hold = True
-        for k in range(v + 1):
-            aug = numeric_ranks(np.concatenate([Jv, G[:, k : k + 1]], axis=1))
-            in_span = int(np.count_nonzero(base == aug))
-            holds = in_span == n_checked
-            checks.append(SpanCheck(v=v, k=k, n_in_span=in_span, n_checked=n_checked, holds=holds))
-            all_hold = all_hold and holds
-        if all_hold and candidate is None:
-            candidate = v
+    J, G, _ = _gradient_stacks(sys, jets, v_max + 1, v_max + 1)  # one mask for every v
+    checks = [_span_check(J[:, : sys.p * (v + 1)], G[:, : v + 1], v + 1, v + 1) for v in range(1, v_max + 1)]
+    candidate = next((v for v, c in enumerate(checks, 1) if c.holds), None)
     return FunctionalIndexScan(candidate=candidate, checks=checks)
 
 
@@ -207,15 +166,21 @@ def analysis(sys: SystemDef, m_max: int, v_max: int, n_samples: int = 100, seed:
 
     - index is the smallest order m <= m_max whose output-derivative gradients
       reach rank n, with one `RankReport` per m; it is None when the rank
-      saturates below n everywhere up to m_max.
+      saturates below n everywhere up to m_max.  It skips a sample where an
+      output row of order < m_max is not finite.
     - check asks whether the target gradient stays inside the span of the
       output-derivative gradients up to order m_max - 1.  That is necessary
       for any representation of the target in those derivatives: failure is
-      a refutation, success is sampled evidence only.
+      a refutation, success is sampled evidence only.  It skips a sample
+      where one of those output rows or the order-0 target row is not finite.
     - scan tries observer orders v = 1..v_max; its candidate is the lowest v
-      at which every target derivative up to order v has its gradient inside
+      at which the target-derivative gradients up to order v all lie inside
       the span of the output-derivative gradients up to order v, at every
-      sample.
+      sample.  It skips a sample, for every v, where an output or target row
+      of order <= v_max is not finite.
+
+    Both span tests use one rule, `_span_check`; the scan appends the target
+    rows of orders 0..v at once.
 
     Order k of a jet reads only lower orders and earlier entries, so each
     test reads the numbers a pass of its own order would give.

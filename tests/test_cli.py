@@ -123,6 +123,7 @@ def test_analyze_reports_no_observer_order(tmp_path, capsys, load_schema):
     check = payload["functional_rank_check"]
     assert not check["holds"]
     assert (check["n_agree"], check["n_checked"]) == (0, 100)
+    assert check["verdict"] == "target gradient left the measured span at 100 of 100 samples"
 
 
 def test_analyze_cstr_high_order(tmp_path):
