@@ -398,21 +398,19 @@ def _init_chain(exact: np.ndarray, init: tuple) -> np.ndarray:
 
 def _invariance_drift(sys_: SystemDef, obs: ObserverIO, trace: SimTrace) -> float | None:
     """Largest violation of the design identity along the simulated states;
-    None for a trace with no rows."""
-    if not trace.t.size:
-        return None
+    None when no row evaluates, as for a trace with no rows."""
     from .synthesis import invariance_identity
     lhs, rhs = invariance_identity(sys_, obs)
     stride = max(1, trace.x.shape[0] // 200)
-    worst = 0.0
+    drifts = []
     for row in trace.x[::stride].tolist():
         b = sys_.bindings(row)
         try:
             lv, rv = evaluate(lhs, b), evaluate(rhs, b)
         except EvalError:
             continue
-        worst = max(worst, abs(lv - rv))
-    return worst
+        drifts.append(abs(lv - rv))
+    return max(drifts, default=None)
 
 
 def _sim_summary(cfg: RunConfig, trace: SimTrace, alphas, e_init, extra: dict) -> dict:

@@ -917,6 +917,8 @@ def equivalent_numeric(
     fails to evaluate are skipped and counted; if more than half of the
     samples are skipped the check refuses to conclude anything.
     """
+    if n < 1:
+        raise ExprError("n must be >= 1")
     names = sorted(free_symbols(e1) | free_symbols(e2))
     missing = [nm for nm in names if nm not in box]
     if missing:

@@ -89,36 +89,22 @@ def _rank_report(m: int, ranks: list[int], n_failed: int, full: int) -> RankRepo
     )
 
 
-def _gradient_stacks(sys: SystemDef, jets, m: int, k: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Output-derivative gradients of orders 0..m-1, shape (N, m*p, n), rows in
-    `measured_derivatives` order, and target-derivative gradients of orders 0..k-1,
-    shape (N, k, n), at the samples where all those rows are finite; and the count skipped."""
-    pts, d = jets
-    J = d[:, :m, : sys.p, 1:].reshape(len(pts), m * sys.p, sys.n)
-    G = d[:, :k, sys.p, 1:]
-    ok = np.isfinite(J).all(axis=(1, 2)) & np.isfinite(G).all(axis=(1, 2))
+def _kept(sys: SystemDef, pts: np.ndarray, finite: np.ndarray, m: int, k: int) -> np.ndarray:
+    """The samples where the output-derivative gradients of orders < m and the target-derivative
+    gradients of orders < k are all finite; `finite` is laid out like the gradients of the jets."""
+    ok = finite[:, :m, : sys.p].all(axis=(1, 2, 3)) & finite[:, :k, sys.p].all(axis=(1, 2))
     if not ok.any():
-        checked = np.zeros(d.shape[1:3], dtype=bool)  # (order, expression) pairs tested
+        checked = np.zeros(finite.shape[1:3], dtype=bool)  # (order, expression) pairs tested
         checked[:m, : sys.p] = True
         checked[:k, sys.p] = True
-        order, j = np.argwhere(checked & ~np.isfinite(d[0, :, :, 1:]).all(axis=2))[0]
+        order, j = np.argwhere(checked & ~finite[0].all(axis=2))[0]
         point = ", ".join(f"{nm}={x!r}" for nm, x in zip(sys.state_names, pts[0].tolist()))
         what = f"output h[{j}]" if j < sys.p else "the target q"
         raise ObservabilityError(
             f"all {len(pts)} sample points failed to evaluate; at the first ({point}) "
             f"the gradient of the order-{order} derivative of {what} is not finite"
         )
-    return J[ok], G[ok], int(np.count_nonzero(~ok))
-
-
-def _index(sys: SystemDef, jets, m_max: int) -> tuple[int | None, list[RankReport]]:
-    J, _, failed = _gradient_stacks(sys, jets, m_max, 0)  # only an h row can skip a sample
-    reports = [
-        _rank_report(m, numeric_ranks(J[:, : sys.p * m]).tolist(), failed, sys.n)
-        for m in range(1, m_max + 1)
-    ]
-    index = next((r.m for r in reports if r.max_rank == sys.n), None)
-    return index, reports
+    return ok
 
 
 @dataclass
@@ -134,30 +120,12 @@ class SpanCheck:
     holds: bool
 
 
-def _span_check(J: np.ndarray, G: np.ndarray, m: int, k: int) -> SpanCheck:
-    """Every row of G lies in the row space of J where appending G leaves the rank unchanged."""
-    in_span = int(np.count_nonzero(numeric_ranks(J) == numeric_ranks(np.concatenate([J, G], axis=1))))
-    return SpanCheck(m=m, k=k, n_in_span=in_span, n_checked=len(J), holds=in_span == len(J))
-
-
-def _rank_check(sys: SystemDef, jets, m: int) -> SpanCheck:
-    J, G, _ = _gradient_stacks(sys, jets, m, 1)
-    return _span_check(J, G, m, 1)
-
-
 @dataclass
 class FunctionalIndexScan:
     """The span check of each v = 1..v_max and the lowest v at which it holds."""
 
     candidate: int | None
     checks: list[SpanCheck]
-
-
-def _candidate(sys: SystemDef, jets, v_max: int) -> FunctionalIndexScan:
-    J, G, _ = _gradient_stacks(sys, jets, v_max + 1, v_max + 1)  # one mask for every v
-    checks = [_span_check(J[:, : sys.p * (v + 1)], G[:, : v + 1], v + 1, v + 1) for v in range(1, v_max + 1)]
-    candidate = next((v for v, c in enumerate(checks, 1) if c.holds), None)
-    return FunctionalIndexScan(candidate=candidate, checks=checks)
 
 
 def analysis(sys: SystemDef, m_max: int, v_max: int, n_samples: int = 100, seed: int = 42) -> tuple:
@@ -179,8 +147,10 @@ def analysis(sys: SystemDef, m_max: int, v_max: int, n_samples: int = 100, seed:
       sample.  It skips a sample, for every v, where an output or target row
       of order <= v_max is not finite.
 
-    Both span tests use one rule, `_span_check`; the scan appends the target
-    rows of orders 0..v at once.
+    The base rank of the output rows of orders < m is computed once per m over
+    every sample, and the three tests read that one table on their own masks.
+    A span check adds one batch that appends its target rows (the scan's, of
+    orders 0..v, at once): they lie in the span where the rank stays put.
 
     Order k of a jet reads only lower orders and earlier entries, so each
     test reads the numbers a pass of its own order would give.
@@ -189,14 +159,33 @@ def analysis(sys: SystemDef, m_max: int, v_max: int, n_samples: int = 100, seed:
         raise ObservabilityError("m_max must be >= 1")
     if v_max < 1:
         raise ObservabilityError("v_max must be >= 1")
+    if n_samples < 1:
+        raise ObservabilityError("n_samples must be >= 1")
     order = m_max if m_max > MAX_ORDER else max(m_max, v_max + 1)  # a bad m_max is named first
     if order > MAX_ORDER:
         raise ObservabilityError(
             f"derivative order {order} exceeds {MAX_ORDER}: {order - 1}! is not a finite double"
         )
     pts = sample_states(sys, n_samples, seed)
-    jets = pts, flow_derivatives(sys, sys.h + (sys.q,), order, pts)
-    return _index(sys, jets, m_max), _rank_check(sys, jets, m_max), _candidate(sys, jets, v_max)
+    g = flow_derivatives(sys, sys.h + (sys.q,), order, pts)[..., 1:]  # (sample, order, expression, state)
+    finite = np.isfinite(g)
+    index_ok, check_ok, scan_ok = (  # only an h row can skip an index sample; one scan mask for every v
+        _kept(sys, pts, finite, m, k) for m, k in ((m_max, 0), (m_max, 1), (v_max + 1, v_max + 1))
+    )
+    g[~finite] = 0.0  # a skipped sample's rank is never read
+    p, n = sys.p, sys.n
+    J = g[:, :, :p].reshape(n_samples, order * p, n)  # rows in `measured_derivatives` order
+    base = [numeric_ranks(J[:, : p * m]) for m in range(1, order + 1)]
+    failed = int(np.count_nonzero(~index_ok))
+    reports = [_rank_report(m, base[m - 1][index_ok].tolist(), failed, n) for m in range(1, m_max + 1)]
+    index = next((r.m for r in reports if r.max_rank == n), None)
+    spans = []
+    for ok, m, k in [(check_ok, m_max, 1)] + [(scan_ok, v + 1, v + 1) for v in range(1, v_max + 1)]:
+        ranks = numeric_ranks(np.concatenate([J[ok, : p * m], g[ok, :k, p]], axis=1))
+        in_span = int(np.count_nonzero(ranks == base[m - 1][ok]))
+        spans.append(SpanCheck(m=m, k=k, n_in_span=in_span, n_checked=len(ranks), holds=in_span == len(ranks)))
+    candidate = next((v for v, c in enumerate(spans[1:], 1) if c.holds), None)
+    return (index, reports), spans[0], FunctionalIndexScan(candidate=candidate, checks=spans[1:])
 
 
 # ---------------------------------------------------------------------------

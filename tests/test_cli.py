@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 import funcobs
@@ -15,12 +16,16 @@ from funcobs.cli import (
     CliInputError,
     RunConfig,
     _build_parser,
+    _invariance_drift,
     data_path,
     main,
     parse_floats,
     parse_init,
     parse_poles,
 )
+from funcobs.observability import load_psi, verify_psi
+from funcobs.sim import SimTrace
+from funcobs.synthesis import poles_to_alphas, synthesize_nonlinear
 from funcobs.system import builtin_batch_reactor, builtin_cstr, save_system
 
 PSI_BATCH = str(data_path("psi_batch.json"))
@@ -1013,6 +1018,18 @@ def test_simulate_failure_at_t0_writes_empty_trace_exit_4(tmp_path, capsys, load
         raise ValueError(f"non-JSON token {token}")
 
     json.loads((out / "summary.json").read_text(), parse_constant=reject)
+
+
+def test_invariance_drift_is_none_when_no_row_evaluates():
+    # the cstr observer divides by exp(-EoverR/theta): no row with theta = 0 evaluates
+    sys_ = builtin_cstr()
+    rep = load_psi(data_path("psi_cstr.json"))
+    verify_psi(sys_, rep)
+    obs = synthesize_nonlinear(rep, poles_to_alphas([-1.0]))
+    rows = np.zeros(3)
+    trace = SimTrace(t=np.arange(3.0), x=np.tile([0.5, 0.0, 0.0], (3, 1)), y=np.zeros((3, 2)),
+                     z=rows, zhat=rows, err=rows)
+    assert _invariance_drift(sys_, obs, trace) is None
 
 
 # ---------------------------------------------------------------------------

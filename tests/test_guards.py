@@ -16,6 +16,7 @@ from funcobs.expr import (
     Sym,
     as_expr,
     differentiate,
+    equivalent_numeric,
     evaluate,
     parse,
     simplify,
@@ -24,7 +25,7 @@ from funcobs.expr import (
 )
 from funcobs.jets import flow_derivatives
 from funcobs.lie import LieError, lie_derivative, lie_series_predict, lie_table
-from funcobs.observability import ObservabilityError, PsiRepresentation, analysis
+from funcobs.observability import ObservabilityError, PsiRepresentation, analysis, verify_psi
 from funcobs.sim import (
     SimError,
     error_decay_fit,
@@ -83,6 +84,15 @@ UNREACHABLE = LinearSystemDef(F=np.zeros((2, 2)), H=[[1.0, 0.0]], q=[[0.0, 1.0]]
                      "m_max must be >= 1", id="analysis-m_max"),
         pytest.param(lambda: analysis(BATCH, 1, 0), ObservabilityError,
                      "v_max must be >= 1", id="analysis-v_max"),
+        # no sample would check anything: a check on nothing must not pass
+        pytest.param(lambda: analysis(BATCH, 6, 3, n_samples=0), ObservabilityError,
+                     "n_samples must be >= 1", id="analysis-n_samples"),
+        pytest.param(lambda: equivalent_numeric(X, parse("x + 1"), {"x": (0.0, 1.0)}, n=0), ExprError,
+                     "n must be >= 1", id="equivalent_numeric-n"),
+        pytest.param(lambda: equivalent_numeric(X, X, {"x": (0.0, 1.0)}, n=-5), ExprError,
+                     "n must be >= 1", id="equivalent_numeric-negative-n"),
+        pytest.param(lambda: verify_psi(BATCH, PsiRepresentation(v=1, psi=(parse("w0_1"), parse("w1_1"))),
+                                        n_samples=0), ExprError, "n must be >= 1", id="verify_psi-n_samples"),
         pytest.param(lambda: PsiRepresentation(v=0, psi=(parse("w0_1"),)), ObservabilityError,
                      "observer order v must be >= 1", id="PsiRepresentation-v"),
         pytest.param(lambda: make_alphas([]), SynthesisError,

@@ -21,6 +21,7 @@ from funcobs.jets import flow_derivatives
 from funcobs.lie import lie_table
 from funcobs.observability import analysis, numeric_rank, sample_states
 from funcobs.system import SystemDef, builtin_batch_reactor, builtin_cstr, linear_to_system
+from rank_reference import masked_analysis
 
 RTOL = 1e-12
 # CLI defaults of `analyze`: 100 samples, seed 42, m_max 6, v_max 3.
@@ -275,7 +276,9 @@ def test_ln_domain_failures_skip_the_same_samples(h, q, skips):
     q0_ok = np.isfinite(qs[:, :1, :, 1:]).all(axis=(1, 2, 3))
     assert (0 < n - h_ok.sum() < n) if skips else h_ok.all()
 
-    (_, reports), fc, scan = analysis(sys_, m, v, n, SEED)
+    result = analysis(sys_, m, v, n, SEED)
+    assert result == masked_analysis(sys_, m, v, n, SEED)
+    (_, reports), fc, scan = result
     assert reports[-1].n_failed == n - h_ok.sum()
     assert reports[0].n_failed == n - h_ok.sum()
     assert fc.n_checked == (h_ok & q0_ok).sum()

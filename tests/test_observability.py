@@ -32,6 +32,7 @@ from funcobs.system import (
     system_from_dict,
     write_json,
 )
+from rank_reference import masked_analysis
 
 
 def _double_integrator_nl() -> SystemDef:
@@ -378,7 +379,8 @@ def test_joint_span_counts_equal_per_order_counts_on_random_linear_systems():
 
 @pytest.mark.parametrize("m_max, v_max", [(6, 3), (12, 8), (1, 1)])
 def test_analysis_makes_one_rank_batch_per_order_and_check(monkeypatch, m_max, v_max):
-    # m_max for the index, two for the span check, two per v for the scan
+    # one base batch per order up to max(m_max, v_max + 1), shared by the three
+    # tests, plus one augmented batch for the span check and one per v for the scan
     calls = []
 
     def counted(stack):
@@ -387,7 +389,13 @@ def test_analysis_makes_one_rank_batch_per_order_and_check(monkeypatch, m_max, v
 
     monkeypatch.setattr(funcobs.observability, "numeric_ranks", counted)
     analysis(builtin_cstr(), m_max, v_max)
-    assert len(calls) <= m_max + 2 + 2 * v_max
+    assert len(calls) <= max(m_max, v_max + 1) + 1 + v_max
+
+
+@pytest.mark.parametrize("m_max, n_samples, v_max", [(6, 100, 3), (12, 1000, 8), (1, 100, 8)])
+@FOUR_SYSTEMS
+def test_shared_base_ranks_equal_each_test_ranking_its_own_samples(sys_, m_max, n_samples, v_max):
+    assert analysis(sys_, m_max, v_max, n_samples) == masked_analysis(sys_, m_max, v_max, n_samples)
 
 
 # ---------------------------------------------------------------------------
