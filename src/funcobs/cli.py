@@ -200,10 +200,19 @@ def _outdir(cfg: RunConfig, default: str | None = None) -> str | None:
 # analyze
 
 
-def _analysis_payload(cfg: RunConfig, sys_: SystemDef, label: str) -> dict:
+def _skipped(n_checked: int, samples: int) -> str:
+    """How many samples a span test read and skipped; '' when it read them all."""
+    return "" if n_checked == samples else f"; {n_checked} of {samples} samples checked, {samples - n_checked} skipped"
+
+
+def _analyze(cfg: RunConfig, sys_: SystemDef, label: str) -> dict:
+    """The analysis stage: run the three rank tests, print their report and
+    return the payload of analysis.json."""
     (index, reports), fcheck, scan = analysis(sys_, cfg.m_max, cfg.v_max, cfg.samples, cfg.seed)
     n_out = fcheck.n_checked - fcheck.n_in_span
-    return {
+    check_skips = _skipped(fcheck.n_checked, cfg.samples)
+    scan_skips = _skipped(scan.checks[0].n_checked, cfg.samples)  # one mask for every v
+    payload = {
         "report": "analysis",
         "defaults": dict(DEFAULTS),
         "system": {"source": label, "n": sys_.n, "p": sys_.p, "target": to_text(sys_.q)},
@@ -219,17 +228,16 @@ def _analysis_payload(cfg: RunConfig, sys_: SystemDef, label: str) -> dict:
             "n_agree": fcheck.n_in_span,
             "n_checked": fcheck.n_checked,
             "verdict": (
-                "target gradient lies in the measured span at every sample (necessary condition holds)"
+                f"target gradient lies in the measured span at every {'checked ' if check_skips else ''}"
+                f"sample (necessary condition holds){check_skips}"
                 if fcheck.holds
-                else f"target gradient left the measured span at {n_out} of {fcheck.n_checked} samples"
+                else f"target gradient left the measured span at {n_out} of {fcheck.n_checked} samples{check_skips}"
             ),
         },
         "functional_index_candidate": scan.candidate,
-        "functional_index_note": "candidate order from sampled gradient-span tests; necessary, not sufficient",
+        "functional_index_note": "candidate order from sampled gradient-span tests; necessary, not sufficient"
+        + scan_skips,
     }
-
-
-def _print_analysis(cfg: RunConfig, sys_: SystemDef, label: str, payload: dict):
     print(f"system: {label}  (n={sys_.n} states, p={sys_.p} outputs, target {to_text(sys_.q)})")
     print(f"rank table over {cfg.samples} samples (seed {cfg.seed}):")
     for row in payload["rank_table"]:
@@ -237,26 +245,26 @@ def _print_analysis(cfg: RunConfig, sys_: SystemDef, label: str, payload: dict):
             f"  m={row['m']}: max rank {row['max_rank']}/{sys_.n} "
             f"(at {row['fraction_at_max']:.0%} of samples)"
         )
-    if payload["observability_index"] is None:
+    if index is None:
         last = payload["rank_table"][-1]
         print(
             f"observability index: NOT FOUND up to m={cfg.m_max} "
             f"(rank saturates at {last['max_rank']} < {sys_.n})"
         )
     else:
-        print(f"observability index: {payload['observability_index']}")
+        print(f"observability index: {index}")
     print(f"functional span check (m={cfg.m_max}): {payload['functional_rank_check']['verdict']}")
-    cand = payload["functional_index_candidate"]
-    if cand is None:
-        print(f"functional index candidate: none found up to v_max={cfg.v_max}")
+    if scan.candidate is None:
+        print(f"functional index candidate: none found up to v_max={cfg.v_max}{scan_skips}")
     else:
-        print(f"functional index candidate: v={cand}")
+        print(f"functional index candidate: v={scan.candidate}{scan_skips}")
     print(f"  note: {payload['functional_index_note']}")
+    return payload
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
     sys_, label = _resolve_system(cfg)
-    payload = _analysis_payload(cfg, sys_, label)
+    payload = _analyze(cfg, sys_, label)
     if cfg.psi is not None:
         rep = load_psi(cfg.psi)
         residuals = [r.max_residual for r in verify_psi(sys_, rep, n_samples=cfg.samples, seed=cfg.seed)]
@@ -267,14 +275,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
             "residuals": residuals,
             "rtol": EQUIV_RTOL,
         }
-    _print_analysis(cfg, sys_, label, payload)
-    if "psi_check" in payload:
-        pk = payload["psi_check"]
-        word = "PASS" if pk["passed"] else "FAIL"
-        print(
-            f"psi check (v={pk['v']}): {word}, max residual {pk['max_residual']:.3e} "
-            f"(rtol {pk['rtol']})"
-        )
+        word = "PASS" if rep.verified else "FAIL"
+        print(f"psi check (v={rep.v}): {word}, max residual {max(residuals):.3e} (rtol {EQUIV_RTOL})")
     out = _outdir(cfg)
     if out is not None:
         path = os.path.join(out, "analysis.json")
@@ -329,9 +331,7 @@ def _synthesize_linear(cfg: RunConfig, lsys: LinearSystemDef, label: str) -> tup
     if not cfg.poles:
         raise CliInputError("--poles is required")
     from .synthesis import design_linear_observer
-    lobs = design_linear_observer(
-        lsys, cfg.poles, v_max=cfg.v_max, allow_unstable=cfg.allow_unstable
-    )
+    lobs = design_linear_observer(lsys, cfg.poles, allow_unstable=cfg.allow_unstable)
     payload = {
         "report": "synthesis",
         "defaults": dict(DEFAULTS),
@@ -582,8 +582,7 @@ def cmd_demo(cfg: RunConfig) -> int:
         fields = {"observer": synthesis["observer"]}
     else:
         sys_, label = _resolve_system(cfg)
-        analysis = _analysis_payload(cfg, sys_, label)
-        _print_analysis(cfg, sys_, label, analysis)
+        analysis = _analyze(cfg, sys_, label)
         synthesis, obs = _synthesize_nonlinear(cfg, sys_, label)
         trace, summary = _simulate_chain(cfg, sys_, label, obs)
         write_json(os.path.join(out, "analysis.json"), analysis)
@@ -640,8 +639,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
     for p in (pa, pd):
         p.add_argument("--v-max", type=int)
-    # the one default that differs from RunConfig's
-    ps.add_argument("--v-max", type=int, default=5)
     for p in (pm, pd):
         p.add_argument("--dt", type=float)
         p.add_argument("--t-final", type=float)

@@ -133,12 +133,16 @@ def verify_invariance(
 
 
 def _stacks(lsys: LinearSystemDef, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """Output- and target-derivative coefficient stacks up to order v."""
+    """Output- and target-derivative coefficient stacks up to order v; rows
+    that overflow are refused at the first order that has them."""
     hs = [lsys.H]
     qs = [lsys.q]
-    for _ in range(v):
-        hs.append(hs[-1] @ lsys.F)
-        qs.append(qs[-1] @ lsys.F)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, v + 1):
+            hs.append(hs[-1] @ lsys.F)
+            qs.append(qs[-1] @ lsys.F)
+            if not (np.isfinite(hs[-1]).all() and np.isfinite(qs[-1]).all()):
+                raise SynthesisError(f"the order-{k} rows H F^{k} and q F^{k} overflow a double")
     return np.vstack(hs), np.vstack(qs)
 
 
@@ -240,15 +244,17 @@ def linear_realization(alphas: AlphaCoeffs, betas: np.ndarray) -> LinearObserver
     return LinearObserver(v=v, alphas=alphas, betas=betas, A=A, B=B, C=C, D=D)
 
 
-def design_linear_observer(
-    lsys: LinearSystemDef, poles, v_max: int = 5, allow_unstable: bool = False
-) -> LinearObserver:
-    """Full linear pipeline: order scan, weight solve, realization."""
-    v = linear_functional_index(lsys, v_max)
+def design_linear_observer(lsys: LinearSystemDef, poles, allow_unstable: bool = False) -> LinearObserver:
+    """Full linear pipeline: order scan, weight solve, realization.
+
+    The scan stops at v = max(1, n - 1): by order n - 1 the rows H F^k span
+    all they ever will, a row space that F maps into itself, so every higher
+    order passes exactly when n - 1 does.  If no order up to it works, none does.
+    """
+    bound = max(1, lsys.n - 1)
+    v = linear_functional_index(lsys, bound)
     if v is None:
-        raise SynthesisError(
-            f"no functional observer order found up to v_max={v_max}"
-        )
+        raise SynthesisError(f"no functional observer order exists (none up to max(1, n - 1) = {bound})")
     alphas = poles_to_alphas(poles)
     if alphas.v != v:
         raise SynthesisError(

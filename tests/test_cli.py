@@ -68,7 +68,7 @@ def test_parse_floats():
 # the option strings each subcommand takes, besides -h/--help
 COMMAND_OPTIONS = {
     "analyze": "--builtin --m-max --out --psi --samples --seed --v-max",
-    "synthesize": "--allow-unstable --builtin --linear --out --poles --psi --samples --seed --v-max",
+    "synthesize": "--allow-unstable --builtin --linear --out --poles --psi --samples --seed",
     "simulate": "--builtin --dt --init --linear --observer --out --samples --seed --t-final --x0",
     "demo": "--dt --out --samples --seed --t-final --v-max",
 }
@@ -94,9 +94,7 @@ def test_parser_defaults_live_in_run_config():
             if action.dest == "help":
                 continue
             assert action.dest in fields, (name, action.dest)
-            # synthesize searches for an observer order past RunConfig's v_max
-            want = 5 if (name, action.dest) == ("synthesize", "v_max") else None
-            assert action.default == want, (name, action.dest)
+            assert action.default is None, (name, action.dest)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +127,28 @@ def test_analyze_reports_no_observer_order(tmp_path, capsys, load_schema):
     assert not check["holds"]
     assert (check["n_agree"], check["n_checked"]) == (0, 100)
     assert check["verdict"] == "target gradient left the measured span at 100 of 100 samples"
+
+
+def test_span_verdicts_name_the_skipped_samples(tmp_path, capsys, load_schema):
+    # ln(cA - 1) is not finite where cA <= 1: the span check and the scan
+    # read 510 of the 1000 samples, while the rank table reads all of them
+    sys_path = tmp_path / "sys.json"
+    save_system(dataclasses.replace(builtin_batch_reactor(), q="cA*ln(cA - 1)"), sys_path)
+    argv = ["analyze", str(sys_path), "--samples", "1000", "--m-max", "12", "--v-max", "8"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    counts = "510 of 1000 samples checked, 490 skipped"
+    verdict = f"target gradient lies in the measured span at every checked sample (necessary condition holds); {counts}"
+    note = f"candidate order from sampled gradient-span tests; necessary, not sufficient; {counts}"
+    assert f"functional span check (m=12): {verdict}\n" in out
+    assert f"functional index candidate: v=1; {counts}\n  note: {note}\n" in out
+    assert "m=12: max rank 2/3 (at 100% of samples)" in out
+    payload = _read(tmp_path / "analysis.json")
+    jsonschema.validate(payload, load_schema("analysis.schema.json"))
+    check = payload["functional_rank_check"]
+    assert (check["holds"], check["n_agree"], check["n_checked"]) == (True, 510, 510)
+    assert check["verdict"] == verdict
+    assert (payload["functional_index_candidate"], payload["functional_index_note"]) == (1, note)
 
 
 def test_analyze_cstr_high_order(tmp_path):
@@ -424,6 +444,48 @@ def test_synthesize_linear(tmp_path, capsys, load_schema):
     jsonschema.validate(obs, load_schema("observer.schema.json"))
     assert obs["A"] == [[-3.0]]
     assert obs["D"] == [[3.0]]
+
+
+# a 7-integrator chain measured at x1, target x7: the target is the sixth
+# derivative of the output, so the order is v = n - 1 = 6
+CHAIN7 = {"F": np.eye(7, k=1).tolist(), "H": np.eye(7)[:1].tolist(), "q": np.eye(7)[6:].tolist()}
+
+
+def _generic7() -> dict:
+    """A seeded single-output 7-state plant with no structure: order n - 1 = 6."""
+    rng = np.random.default_rng(7)
+    return {k: rng.normal(size=shape).tolist() for k, shape in (("F", (7, 7)), ("H", (1, 7)), ("q", (1, 7)))}
+
+
+GENERIC7 = _generic7()
+
+
+@pytest.mark.parametrize("plant", [CHAIN7, GENERIC7], ids=["integrator-chain", "generic"])
+def test_synthesize_linear_reaches_order_n_minus_1(tmp_path, capsys, plant):
+    lin = tmp_path / "lin.json"
+    lin.write_text(json.dumps(plant))
+    argv = ["synthesize", "--linear", str(lin), "--poles=-1,-2,-3,-4,-5,-6", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert "(n=7, p=1); order v=6\n" in capsys.readouterr().out
+    if plant is CHAIN7:
+        assert main(["simulate", "--linear", str(lin), "--observer", str(tmp_path / "observer.json"),
+                     "--x0=0.1,0.2,0.3,0.4,0.5,0.6,0.7", "--init", "offset=0.1", "--t-final", "2",
+                     "--out", str(tmp_path / "run")]) == 0
+        summary = _read(tmp_path / "run" / "summary.json")
+        assert summary["observer_order"] == 6
+        assert summary["max_exact_mismatch"] <= 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+def test_synthesize_linear_overflowing_rows_exit_2(tmp_path, capfd):
+    # H F^2 = [0, 0, 1e320]; capfd also sees what LAPACK would print
+    lin = tmp_path / "lin.json"
+    lin.write_text('{"F": [[0, 1e160, 0], [0, 0, 1e160], [1e160, 0, 0]], "H": [[1, 0, 0]], "q": [[0, 1, 1]]}')
+    assert main(["synthesize", "--linear", str(lin), "--poles=-1,-2", "--out", str(tmp_path / "o")]) == 2
+    captured = capfd.readouterr()
+    assert captured.err == "error: the order-2 rows H F^2 and q F^2 overflow a double\n"
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

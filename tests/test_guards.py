@@ -40,6 +40,7 @@ from funcobs.synthesis import (
     SynthesisError,
     compute_betas,
     compute_M,
+    design_linear_observer,
     linear_functional_index,
     linear_realization,
     make_alphas,
@@ -64,6 +65,8 @@ X = Sym("x")
 POLE = SystemDef(("x",), {}, ("1/x",), ("x",), "x", {"x": (0.0, 1.0)})
 # F = 0: the target x2 is no combination of the measured x1 and its derivatives
 UNREACHABLE = LinearSystemDef(F=np.zeros((2, 2)), H=[[1.0, 0.0]], q=[[0.0, 1.0]])
+# H F^2 = [0, 0, 1e320]: the order-2 rows overflow, though every entry of F is finite
+OVERFLOW = LinearSystemDef(F=[[0, 1e160, 0], [0, 0, 1e160], [1e160, 0, 0]], H=[[1, 0, 0]], q=[[0, 1, 1]])
 
 
 @pytest.mark.parametrize(
@@ -114,6 +117,14 @@ UNREACHABLE = LinearSystemDef(F=np.zeros((2, 2)), H=[[1.0, 0.0]], q=[[0.0, 1.0]]
         pytest.param(lambda: compute_M(UNREACHABLE, 1), SynthesisError,
                      "target derivatives are not reproducible from output derivatives "
                      "at order v=1 (residual 1.000e+00)", id="compute_M-unreachable"),
+        pytest.param(lambda: linear_functional_index(OVERFLOW, 3), SynthesisError,
+                     "the order-2 rows H F^2 and q F^2 overflow a double",
+                     id="linear_functional_index-overflow"),
+        pytest.param(lambda: compute_M(OVERFLOW, 2), SynthesisError,
+                     "the order-2 rows H F^2 and q F^2 overflow a double", id="compute_M-overflow"),
+        pytest.param(lambda: design_linear_observer(UNREACHABLE, [-1.0]), SynthesisError,
+                     "no functional observer order exists (none up to max(1, n - 1) = 1)",
+                     id="design_linear_observer-none"),
         pytest.param(lambda: compute_betas(np.zeros((3, 2)), make_alphas([1.0])), SynthesisError,
                      "M of shape (3, 2) does not match order v=1", id="compute_betas-shape"),
         pytest.param(lambda: linear_realization(make_alphas([1.0]), [[1.0]]), SynthesisError,

@@ -32,6 +32,7 @@ from funcobs.synthesis import (
 from funcobs.system import LinearSystemDef, builtin_batch_reactor, builtin_cstr
 
 from linear_chain import linear_observer_to_io
+from test_observability import _route_system
 
 # ---------------------------------------------------------------------------
 # assigned polynomials
@@ -175,6 +176,36 @@ def test_index_none_when_not_functionally_observable():
     assert linear_functional_index(lsys, 3) is None
     with pytest.raises(SynthesisError):
         design_linear_observer(lsys, [-1.0])
+
+
+def _seeded_plants():
+    """The 140 seeded plants of tier-1: acceptance criterion 6's 50 and the
+    90 of the linear/sampled route comparison."""
+    for i in range(50):
+        rng = np.random.default_rng(1000 + i)
+        n = int(rng.integers(2, 7))
+        p = int(rng.integers(1, 3))
+        F = rng.normal(size=(n, n))
+        F -= (max(ev.real for ev in np.linalg.eigvals(F)) + 0.5) * np.eye(n)
+        yield LinearSystemDef(F=F, H=rng.normal(size=(p, n)), q=rng.normal(size=(1, n)))
+    for seed in range(90):
+        yield _route_system(seed)
+
+
+@pytest.mark.filterwarnings("error")
+def test_design_order_matches_a_search_to_twice_n():
+    # design_linear_observer stops its search at max(1, n - 1); a search to
+    # 2n finds the same order, or none where the design refuses
+    orders = set()
+    for k, lsys in enumerate(_seeded_plants()):
+        want = linear_functional_index(lsys, 2 * lsys.n)
+        orders.add(want)
+        if want is None:
+            with pytest.raises(SynthesisError, match="no functional observer order exists"):
+                design_linear_observer(lsys, [-1.0])
+        else:
+            assert design_linear_observer(lsys, [-1.0 - j for j in range(want)]).v == want, k
+    assert orders == {1, 2, 3, 4, 5, None}
 
 
 def test_chain_map_of_realization():
