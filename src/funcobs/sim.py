@@ -5,7 +5,9 @@ given configuration reproduces bit-for-bit.  Estimates that pass 1e12 in
 magnitude truncate the run with a divergence event; evaluation failures
 (domain errors in the plant or observer expressions) truncate likewise.
 
-Each nonlinear rollout runs one generated Python function whose loop body
+Each nonlinear rollout is an observer realization handed to
+`simulate_custom_observer`: the estimate chain is one, and the plant alone
+is the empty one.  It runs one generated Python function whose loop body
 is the four RK4 stages unrolled over scalar float locals, with the plant
 and observer expressions inlined and each subexpression they share
 computed once per stage, so a division by zero or a log of a negative
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import _PY_NS, _py_block, as_expr, evaluate
+from .expr import _PY_NS, Const, Neg, Product, Sum, Sym, _py_block, as_expr, evaluate, free_symbols, w_index
 from .lie import measured_derivatives, target_derivatives
 from .synthesis import AlphaCoeffs, LinearObserver, ObserverIO
 from .system import LinearSystemDef, SimError, SystemDef
@@ -117,39 +119,10 @@ def _rk4_kernel(stage, record, s0, dt: float, n_steps: int, check=None):
     return np.frombuffer(vals, float).reshape(-1, m + len(outs)), event
 
 
-def _rollout(sys: SystemDef, x0, obs0, stage, t_final: float, dt: float, zhat=None) -> SimTrace:
-    """Kernel rollout of the plant from x0 and the observer from obs0, the
-    state being the plant's followed by the observer's.  zhat(s), when
-    given, is the estimate at the row state s as a `_py_block` root; it is
-    recorded and checked against DIVERGENCE_LIMIT, and err = zhat - z.
-    Without it zhat and err are NaN."""
-    n_steps = _steps(t_final, dt)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (sys.n,):
-        raise SimError(f"x0 must have {sys.n} entries")
-    s0 = np.concatenate((x0, obs0))
-
-    def record(s):
-        slots = dict(zip(sys.state_names, s))
-        roots = [(e, slots) for e in (*sys.h, sys.q)]
-        return _py_block(roots + ([zhat(s)] if zhat else []), sys.params)
-
-    m, p = len(s0), sys.p
-    table, event = _rk4_kernel(stage, record, s0, dt, n_steps, p + 1 if zhat else None)
-    z = table[:, m + p]
-    zh = table[:, m + p + 1] if zhat else np.full(table.shape[0], np.nan)
-    t = np.arange(table.shape[0]) * dt
-    return SimTrace(t, table[:, : sys.n], table[:, m : m + p], z, zh, zh - z, event)
-
-
 def integrate_plant(sys: SystemDef, x0, t_final: float, dt: float = 1e-3) -> SimTrace:
-    """Plant-only rollout recording states, outputs and the target."""
-
-    def stage(u):
-        slots = dict(zip(sys.state_names, u))
-        return _py_block([(e, slots) for e in sys.f], sys.params)
-
-    return _rollout(sys, x0, (), stage, t_final, dt)
+    """Plant-only rollout recording states, outputs and the target: the
+    empty observer realization, so the estimate and error are NaN."""
+    return simulate_custom_observer(sys, (), None, x0, (), t_final, dt)
 
 
 def chain_init_exact(sys: SystemDef, x0, v: int) -> np.ndarray:
@@ -159,74 +132,76 @@ def chain_init_exact(sys: SystemDef, x0, v: int) -> np.ndarray:
     return np.array([evaluate(e, b) for e in target_derivatives(sys, v - 1)])
 
 
-def simulate_coupled(
-    sys: SystemDef,
-    obs: ObserverIO,
-    x0,
-    chain0,
-    t_final: float,
-    dt: float = 1e-3,
-) -> SimTrace:
+def simulate_coupled(sys: SystemDef, obs: ObserverIO, x0, chain0, t_final: float, dt: float = 1e-3) -> SimTrace:
     """Joint rollout of the plant and the order-v estimate chain.
 
-    The chain state holds the estimate and its first v-1 time derivatives;
-    the top equation is driven by T evaluated on the plant's current output
-    derivatives, with the assigned-polynomial feedback.
+    The chain is the realization xi1' = xi2, ..., xiv' = T - a1*xiv - ... -
+    av*xi1 with read-out xi1: xi<k+1> holds the estimate's k-th time
+    derivative, and T reads the plant's current output derivatives.
     """
     v = obs.v
     chain0 = np.asarray(chain0, dtype=float)
     if chain0.shape != (v,):
         raise SimError(f"chain0 must have v={v} entries")
-
-    wmap = measured_derivatives(sys, v)
-    n = sys.n
-
-    def stage(u):
-        # the chain entry c<k> is u[n+k]; T reads each w<i>_<j> in place
-        xs = dict(zip(sys.state_names, u))
-        ws = {nm: (e, xs) for nm, e in wmap.items()}
-        lines, (*f, T) = _py_block([(e, xs) for e in sys.f] + [(obs.T, ws)], sys.params)
-        feedback = "".join(f" - ({a!r})*{u[n + v - k]}" for k, a in enumerate(obs.alphas.alphas, 1))
-        return lines, f + u[n + 1 :] + [f"({T}{feedback})"]
-
-    return _rollout(sys, x0, chain0, stage, t_final, dt, zhat=lambda s: s[n])
+    sys.check_reads(obs.T, "T", v, SimError)
+    xi = [Sym(f"xi{k}") for k in range(1, v + 1)]
+    shadowed = free_symbols(obs.T) & {*(s.name for s in xi), *(f"y{j}" for j in range(1, sys.p + 1))}
+    if shadowed:
+        raise SimError(f"T reads parameter(s) {sorted(shadowed)} that the chain's own names shadow")
+    feedback = (Neg(Product((Const(a), xi[v - k]))) for k, a in enumerate(obs.alphas.alphas, 1))
+    top = Sum((obs.T, *feedback))
+    return simulate_custom_observer(sys, [*xi[1:], top], xi[0], x0, chain0, t_final, dt)
 
 
 def simulate_custom_observer(
-    sys: SystemDef,
-    xi_rhs,
-    zhat_expr,
-    x0,
-    xi0,
-    t_final: float,
-    dt: float = 1e-3,
+    sys: SystemDef, xi_rhs, zhat_expr, x0, xi0, t_final: float, dt: float = 1e-3
 ) -> SimTrace:
-    """Rollout of the plant against a user-supplied observer realization.
+    """Rollout of the plant against an observer realization, the kernel
+    state being the plant's followed by the observer's.
 
     The observer state derivative expressions and the estimate read-out may
     reference the observer states as xi1..xim, the measurements as y1..yp,
-    and the plant parameters.
+    their time derivatives as w<i>_<j> (any order, w0_<j> being y<j>), and
+    the plant parameters, which those names shadow.  The estimate is
+    recorded and checked against DIVERGENCE_LIMIT, and err = zhat - z; a
+    None read-out leaves both NaN.
     """
     xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
     m = xi0.size
     if len(xi_rhs) != m:
         raise SimError("xi0 length must match the number of observer state equations")
     xi_rhs = [as_expr(e) for e in xi_rhs]
-    zhat_expr = as_expr(zhat_expr)
+    zhat = [] if zhat_expr is None else [as_expr(zhat_expr)]
+    n_steps = _steps(t_final, dt)
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (sys.n,):
+        raise SimError(f"x0 must have {sys.n} entries")
+    reads = set().union(*map(free_symbols, xi_rhs + zhat))
+    ws = measured_derivatives(sys, max((w[0] for w in map(w_index, reads) if w), default=0))
     n = sys.n
 
     def slots(u):
-        # xi<k+1> is u[n+k]; y<j+1> is h_j read in place
+        # xi<k+1> is u[n+k]; y<j> and w<i>_<j> are read in place
         xs = dict(zip(sys.state_names, u))
         obs = {f"xi{k + 1}": u[n + k] for k in range(m)}
         obs.update((f"y{j + 1}", (e, xs)) for j, e in enumerate(sys.h))
+        obs.update((nm, (e, xs)) for nm, e in ws.items())
         return xs, obs
 
     def stage(u):
         xs, obs = slots(u)
         return _py_block([(e, xs) for e in sys.f] + [(e, obs) for e in xi_rhs], sys.params)
 
-    return _rollout(sys, x0, xi0, stage, t_final, dt, zhat=lambda s: (zhat_expr, slots(s)[1]))
+    def record(s):
+        xs, obs = slots(s)
+        return _py_block([(e, xs) for e in (*sys.h, sys.q)] + [(e, obs) for e in zhat], sys.params)
+
+    p = sys.p
+    table, event = _rk4_kernel(stage, record, np.concatenate((x0, xi0)), dt, n_steps, p + 1 if zhat else None)
+    z = table[:, n + m + p]
+    zh = table[:, n + m + p + 1] if zhat else np.full(table.shape[0], np.nan)
+    t = np.arange(table.shape[0]) * dt
+    return SimTrace(t, table[:, :n], table[:, n + m : n + m + p], z, zh, zh - z, event)
 
 
 def simulate_linear_observer(

@@ -84,6 +84,14 @@ class ObserverIO:
         return {"v": self.v, "alphas": list(self.alphas.alphas), "T": to_text(self.T)}
 
 
+def _check_stable(alphas: AlphaCoeffs, allow_unstable: bool):
+    if not alphas.hurwitz and not allow_unstable:
+        raise UnstablePolesError(
+            f"assigned polynomial has roots {alphas.roots} not strictly in the "
+            "left half plane; pass allow_unstable to proceed anyway"
+        )
+
+
 def synthesize_nonlinear(
     rep: PsiRepresentation, alphas: AlphaCoeffs, allow_unstable: bool = False
 ) -> ObserverIO:
@@ -91,11 +99,7 @@ def synthesize_nonlinear(
         raise SynthesisError(
             f"representation order v={rep.v} does not match {alphas.v} coefficients"
         )
-    if not alphas.hurwitz and not allow_unstable:
-        raise UnstablePolesError(
-            f"assigned polynomial has roots {alphas.roots} not strictly in the "
-            "left half plane; pass allow_unstable to proceed anyway"
-        )
+    _check_stable(alphas, allow_unstable)
     if not rep.verified:
         warnings.warn(
             "psi representation has not been verified against a system",
@@ -260,10 +264,7 @@ def design_linear_observer(lsys: LinearSystemDef, poles, allow_unstable: bool = 
         raise SynthesisError(
             f"system needs an order-{v} observer but {alphas.v} pole(s) were given"
         )
-    if not alphas.hurwitz and not allow_unstable:
-        raise UnstablePolesError(
-            f"assigned poles {alphas.roots} are not strictly stable"
-        )
+    _check_stable(alphas, allow_unstable)
     M, _ = compute_M(lsys, v)
     betas = compute_betas(M, alphas)
     return linear_realization(alphas, betas)

@@ -413,6 +413,14 @@ def test_synthesize_unstable_exit_3(tmp_path, capsys):
     assert "left half plane" in capsys.readouterr().err
 
 
+def test_synthesize_linear_unstable_exit_3(tmp_path, capsys):
+    # the linear route refuses an unstable pole in the nonlinear route's words
+    lin = str(data_path("lin_double_integrator.json"))
+    rc = main(["synthesize", "--linear", lin, "--poles=1", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "left half plane" in capsys.readouterr().err
+
+
 def test_synthesize_wrong_psi_exit_2(tmp_path, capsys):
     # cstr representation against the batch reactor: symbols don't resolve
     rc = main(

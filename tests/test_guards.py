@@ -2,6 +2,8 @@
 CLI from reaching: each refuses a bad argument with its own error class and
 message."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,8 @@ LOBS = linear_realization(make_alphas([1.0]), [[1.0], [1.0]])
 X = Sym("x")
 # dx/dt = 1/x is not finite at x = 0
 POLE = SystemDef(("x",), {}, ("1/x",), ("x",), "x", {"x": (0.0, 1.0)})
+# a parameter with the name the observer slots give the first measurement
+PARAM_Y1 = SystemDef(("x",), {"y1": 2.0}, ("-x",), ("x",), "x", {"x": (0.0, 1.0)})
 # F = 0: the target x2 is no combination of the measured x1 and its derivatives
 UNREACHABLE = LinearSystemDef(F=np.zeros((2, 2)), H=[[1.0, 0.0]], q=[[0.0, 1.0]])
 # H F^2 = [0, 0, 1e320]: the order-2 rows overflow, though every entry of F is finite
@@ -149,6 +153,12 @@ OVERFLOW = LinearSystemDef(F=[[0, 1e160, 0], [0, 0, 1e160], [1e160, 0, 0]], H=[[
                      "jets need order >= 1", id="flow_derivatives-order"),
         pytest.param(lambda: simulate_coupled(BATCH, OBS, X0, [0.0, 0.0], 1.0), SimError,
                      "chain0 must have v=1 entries", id="simulate_coupled-chain0"),
+        pytest.param(lambda: simulate_coupled(BATCH, replace(OBS, T=parse("w2_1")), X0, [0.0], 1.0), SimError,
+                     "T uses w2_1 of derivative order 2 > v=1", id="simulate_coupled-T-order"),
+        # the chain binds y1 to the first output, so a parameter of that name is out of T's reach
+        pytest.param(lambda: simulate_coupled(PARAM_Y1, replace(OBS, T=parse("y1*w1_1")), [0.5], [0.0], 1.0),
+                     SimError, "T reads parameter(s) ['y1'] that the chain's own names shadow",
+                     id="simulate_coupled-T-shadowed"),
         pytest.param(lambda: exact_error_grid(make_alphas([1.0]), [1.0], np.zeros((2, 2))),
                      SimError, "need a one-dimensional time grid", id="exact_error_grid-2d"),
         pytest.param(lambda: simulate_custom_observer(BATCH, ["-xi1"], "xi1", X0, [0.0, 0.0], 1.0),

@@ -314,6 +314,17 @@ def test_verdicts_do_not_depend_on_output_target_or_time_units(name, kind, c):
     assert _verdicts(_in_units(sys_, kind, c)) == _verdicts(sys_)
 
 
+@pytest.mark.parametrize(
+    "c", [10, pytest.param(100, marks=ITEM1_XFAIL), pytest.param(1000, marks=ITEM1_XFAIL),
+          pytest.param(1e4, marks=ITEM1_XFAIL)],
+)
+def test_linear_order_does_not_depend_on_time_units(c):
+    # the 7-integrator chain, y = x1 and z = x7, needs v = 6 in any time unit
+    # (t = c*tau, so F -> c*F); today the rows H (cF)^k lose rank from c = 100
+    lsys = LinearSystemDef(F=c * np.eye(7, k=1), H=np.eye(7)[:1], q=np.eye(7)[6:])
+    assert linear_functional_index(lsys, 6) == 6
+
+
 def _route_system(seed: int) -> LinearSystemDef:
     """A random linear system: generic, with a last state that neither H nor
     the other states see, or with the target on a single state, by seed % 3."""

@@ -46,7 +46,7 @@ def test_artifact_hashes_repeat(capsys):
     assert printed[0] == printed[1]
     names = [line.split("  ")[1] for line in printed[0]]
     assert "sim-batch/trace.csv" in names and "sim-linear/summary.json" in names
-    assert "demo-cstr/analysis.json" in names and len(names) == 25
+    assert "demo-cstr/analysis.json" in names and len(names) == 29
 
 
 def test_startup_split_prints_one_json_line(capsys):

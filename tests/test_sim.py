@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from funcobs import sim
-from funcobs.expr import as_expr, compile_exprs, parse
+from funcobs.expr import as_expr, compile_exprs, parse, to_text
 from funcobs.lie import lie_table, measured_derivatives
 from funcobs.observability import load_psi, verify_psi
 from funcobs.cli import builtin_double_integrator, data_path
@@ -219,6 +219,21 @@ def test_custom_observer_matches_chain_form():
         dt=1e-3,
     )
     assert np.max(np.abs(tr_chain.zhat - tr_ss.zhat)) <= 1e-8
+
+
+@pytest.mark.parametrize("case", ["batch", "triple-integrator"])
+def test_custom_observer_reads_measurement_derivatives(case):
+    # the chain written out as text: T reads w<i>_<j> up to order v, which
+    # the custom observer binds from its own expressions
+    sys_, obs = _batch_setup(-2.0) if case == "batch" else _triple_integrator_setup(-1.5)
+    v, a = obs.v, obs.alphas.alphas
+    top = f"({to_text(obs.T)})" + "".join(f" - {a[k - 1]!r}*xi{v - k + 1}" for k in range(1, v + 1))
+    xi_rhs = [f"xi{k}" for k in range(2, v + 1)] + [top]
+    chain0 = chain_init_exact(sys_, X0, v) + 0.1
+    tr_chain = simulate_coupled(sys_, obs, X0, chain0, 2.0, dt=1e-3)
+    tr_ss = simulate_custom_observer(sys_, xi_rhs, "xi1", X0, chain0, 2.0, dt=1e-3)
+    assert tr_ss.event is None and tr_ss.t.size == 2001
+    assert np.max(np.abs(tr_chain.zhat - tr_ss.zhat)) <= 1e-12
 
 
 def test_linear_routes_agree():
@@ -445,12 +460,20 @@ def _triple_integrator_setup(lam):
     return linear_to_system(lsys), linear_observer_to_io(lobs)
 
 
+def _quadruple_integrator_setup():
+    # y = x1, z = x2: an order-3 estimate chain with alphas (6, 11, 6)
+    lsys = LinearSystemDef(F=np.eye(4, k=1), H=np.eye(4)[:1], q=np.eye(4)[1:2])
+    lobs = design_linear_observer(lsys, [-1.0, -2.0, -3.0])
+    return linear_to_system(lsys), linear_observer_to_io(lobs)
+
+
 @pytest.mark.parametrize(
     "case, t_final, dt",
     [
         ("batch", 2.0, 1e-3),
         ("cstr", 2.0, 1e-3),
         ("triple-integrator", 2.0, 1e-3),
+        ("quadruple-integrator", 2.0, 1e-3),
         ("batch-divergent", 20.0, 1e-2),
     ],
 )
@@ -461,6 +484,10 @@ def test_float_coupled_rollout_matches_numpy_loop(case, t_final, dt):
         (sys_, obs), x0, off = _cstr_setup(-1.0), np.array([1.0, 1.0, 0.9]), [-0.2]
     elif case == "triple-integrator":
         (sys_, obs), x0, off = _triple_integrator_setup(-1.5), np.array([0.3, -0.4, 0.5]), [0.2, -0.1]
+    elif case == "quadruple-integrator":  # the feedback order a1*c2 + a2*c1 + a3*c0 past v = 2
+        (sys_, obs), x0 = _quadruple_integrator_setup(), np.array([0.3, -0.4, 0.5, -0.2])
+        off = [0.2, -0.1, 0.05]
+        assert obs.v == 3 and obs.alphas.alphas == (6.0, 11.0, 6.0)
     else:
         sys_ = builtin_batch_reactor()
         rep = load_psi(data_path("psi_batch.json"))
